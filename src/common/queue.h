@@ -67,6 +67,22 @@ class Queue {
     return pop_locked();
   }
 
+  /// Blocking batch pop: waits like pop(), then swaps every queued item
+  /// into `out` (whose previous contents are discarded) in FIFO order,
+  /// so a consumer takes the lock once per batch instead of once per
+  /// item. Returns false once closed and drained.
+  bool pop_all(std::deque<T>& out) SDS_EXCLUDES(mu_) {
+    out.clear();
+    MutexLock lock(mu_);
+    not_empty_.wait(lock, [&]() SDS_REQUIRES(mu_) {
+      return closed_ || !items_.empty();
+    });
+    if (items_.empty()) return false;
+    out.swap(items_);
+    not_full_.notify_all();
+    return true;
+  }
+
   /// Non-blocking pop.
   std::optional<T> try_pop() SDS_EXCLUDES(mu_) {
     MutexLock lock(mu_);

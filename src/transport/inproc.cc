@@ -1,5 +1,6 @@
 #include "transport/inproc.h"
 
+#include <deque>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -223,8 +224,12 @@ class InProcCore : public std::enable_shared_from_this<InProcCore> {
     enqueue_conn_event(conn, ConnEvent::kClosed);
   }
 
+  /// Takes everything queued at each wake-up in one swap and copies the
+  /// handlers once per batch; events keep their queue order, so frames
+  /// stay FIFO per connection and connection events stay in place.
   void delivery_loop() {
-    while (auto ev = queue_.pop()) {
+    std::deque<Event> batch;
+    while (queue_.pop_all(batch)) {
       FrameHandler frame_handler;
       ConnEventHandler conn_handler;
       {
@@ -232,16 +237,22 @@ class InProcCore : public std::enable_shared_from_this<InProcCore> {
         frame_handler = frame_handler_;
         conn_handler = conn_handler_;
       }
-      if (ev->is_frame) {
-        if (frame_handler) {
-          // Shared frames materialize here: one payload copy, receiver-side.
-          frame_handler(ev->conn, ev->shared.empty() ? std::move(ev->frame)
-                                                     : ev->shared.to_frame());
-        } else {
-          SDS_LOG(WARN) << address_ << ": frame dropped (no handler)";
+      for (Event& ev : batch) {
+        if (ev.is_frame) {
+          if (frame_handler) {
+            // Shared frames materialize here: one payload copy,
+            // receiver-side. The batch outlives this event, so the image
+            // reference is dropped now rather than at the next wake-up.
+            wire::Frame frame =
+                ev.shared.empty() ? std::move(ev.frame) : ev.shared.to_frame();
+            ev.shared = {};
+            frame_handler(ev.conn, std::move(frame));
+          } else {
+            SDS_LOG(WARN) << address_ << ": frame dropped (no handler)";
+          }
+        } else if (conn_handler) {
+          conn_handler(ev.conn, ev.conn_event);
         }
-      } else if (conn_handler) {
-        conn_handler(ev->conn, ev->conn_event);
       }
     }
   }

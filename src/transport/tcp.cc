@@ -14,13 +14,16 @@
 #include <cerrno>
 #include <cstring>
 #include <deque>
+#include <functional>
+#include <memory>
+#include <optional>
+#include <span>
 #include <thread>
 #include <unordered_map>
 #include <vector>
 
 #include "common/log.h"
 #include "common/mutex.h"
-#include "common/queue.h"
 #include "common/thread_annotations.h"
 
 namespace sds::transport {
@@ -28,9 +31,14 @@ namespace sds::transport {
 namespace {
 
 constexpr int kMaxEpollEvents = 256;
+/// Size of the endpoint-wide read scratch buffer: the most one read()
+/// takes from a socket.
 constexpr std::size_t kReadChunk = 64 * 1024;
 /// Frames coalesced per writev call (well under Linux's IOV_MAX).
 constexpr std::size_t kMaxIov = 64;
+
+/// The endpoint whose event loop runs on this thread (null elsewhere).
+thread_local const void* t_loop_endpoint = nullptr;
 
 Status errno_status(const std::string& what) {
   return Status::unavailable(what + ": " + std::strerror(errno));
@@ -81,14 +89,31 @@ struct WriteBuf {
   }
 };
 
+/// A send waiting in the endpoint's outbox for the event loop.
+struct Outgoing {
+  ConnId conn;
+  WriteBuf buf;
+};
+
+/// A connect or close for the event loop. `outbox_mark` is the outbox
+/// length when it was posted, so it runs after exactly the sends queued
+/// before it.
+struct Command {
+  std::size_t outbox_mark = 0;
+  std::function<void()> run;
+};
+
 /// Per-connection state owned by the event loop.
 struct Conn {
   int fd = -1;
   ConnId id;
-  wire::Bytes read_buffer;
+  /// The start of a frame whose last bytes have not arrived yet; complete
+  /// frames are parsed straight out of the read scratch buffer.
+  wire::Bytes tail;
   std::deque<WriteBuf> write_queue;
   std::size_t write_offset = 0;  // into write_queue.front()
-  bool want_write = false;
+  bool want_write = false;       // EPOLLOUT armed: the socket refused bytes
+  bool dirty = false;            // listed for this loop turn's flush
 };
 
 class TcpEndpoint final : public Endpoint {
@@ -130,6 +155,7 @@ class TcpEndpoint final : public Endpoint {
     ev.data.fd = wake_fd_;
     ::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, wake_fd_, &ev);
 
+    scratch_ = std::make_unique_for_overwrite<std::uint8_t[]>(kReadChunk);
     loop_thread_ = std::thread([this] { event_loop(); });
     return Status::ok();
   }
@@ -174,7 +200,7 @@ class TcpEndpoint final : public Endpoint {
 
     const ConnId id{next_conn_.fetch_add(1, std::memory_order_relaxed)};
     counters_.on_dial();
-    post_command([this, fd, id] { register_conn(fd, id, /*inbound=*/false); });
+    post_command([this, fd, id] { register_conn(fd, id); });
     return id;
   }
 
@@ -182,14 +208,10 @@ class TcpEndpoint final : public Endpoint {
     if (stopping_.load(std::memory_order_acquire)) {
       return Status::unavailable("endpoint shut down");
     }
-    const std::size_t size = frame.wire_size();
-    auto bytes = frame.serialize();
-    counters_.on_send(size);
-    post_command([this, conn, bytes = std::move(bytes)]() mutable {
-      WriteBuf buf;
-      buf.owned = std::move(bytes);
-      queue_write(conn, std::move(buf));
-    });
+    WriteBuf buf;
+    buf.owned = frame.serialize();
+    counters_.on_send(buf.owned.size());
+    queue_send(conn, std::move(buf));
     return Status::ok();
   }
 
@@ -198,18 +220,20 @@ class TcpEndpoint final : public Endpoint {
       return Status::unavailable("endpoint shut down");
     }
     counters_.on_send(frame.wire_size());
-    post_command([this, conn, frame]() {  // ref-count bump, no payload copy
-      WriteBuf buf;
-      buf.shared = frame;
-      queue_write(conn, std::move(buf));
-    });
+    WriteBuf buf;
+    buf.shared = frame;  // ref-count bump, no payload copy
+    queue_send(conn, std::move(buf));
     return Status::ok();
   }
 
   void close(ConnId conn) override {
     post_command([this, conn] {
       const auto it = by_id_.find(conn);
-      if (it != by_id_.end()) close_conn(*it->second, /*notify=*/true);
+      if (it == by_id_.end()) return;
+      Conn& c = *it->second;
+      // Frames sent before close() still leave first.
+      if (!c.write_queue.empty() && !flush_writes(c)) return;
+      close_conn(c, /*notify=*/true);
     });
   }
 
@@ -246,12 +270,30 @@ class TcpEndpoint final : public Endpoint {
 
   void release_slot() { slots_.fetch_sub(1, std::memory_order_relaxed); }
 
-  void post_command(std::function<void()> cmd) {
+  void queue_send(ConnId conn, WriteBuf buf) {
+    bool was_idle = false;
     {
       MutexLock lock(mu_);
-      commands_.push_back(std::move(cmd));
+      was_idle = outbox_.empty() && commands_.empty();
+      outbox_.push_back({conn, std::move(buf)});
     }
-    wake();
+    wake_if_idle(was_idle);
+  }
+
+  void post_command(std::function<void()> run) {
+    bool was_idle = false;
+    {
+      MutexLock lock(mu_);
+      was_idle = outbox_.empty() && commands_.empty();
+      commands_.push_back({outbox_.size(), std::move(run)});
+    }
+    wake_if_idle(was_idle);
+  }
+
+  /// Only the first item into empty queues writes the eventfd, and never
+  /// from the loop thread: it drains the queues before it next sleeps.
+  void wake_if_idle(bool was_idle) {
+    if (was_idle && t_loop_endpoint != this) wake();
   }
 
   void wake() {
@@ -263,42 +305,69 @@ class TcpEndpoint final : public Endpoint {
   // Event-loop side (no external locking needed for conns_/by_id_).
 
   void event_loop() {
+    t_loop_endpoint = this;
     std::vector<epoll_event> events(kMaxEpollEvents);
     while (!stopping_.load(std::memory_order_acquire)) {
       const int n = ::epoll_wait(epoll_fd_, events.data(),
                                  static_cast<int>(events.size()), 100);
       if (n < 0 && errno != EINTR) break;
+      {
+        // One handler copy per turn, not per delivered frame.
+        MutexLock lock(mu_);
+        loop_frame_handler_ = frame_handler_;
+        loop_conn_handler_ = conn_handler_;
+      }
       for (int i = 0; i < n; ++i) {
         const auto& ev = events[i];
         if (ev.data.fd == wake_fd_) {
-          drain_wake();
+          std::uint64_t count;  // one read resets the eventfd counter
+          [[maybe_unused]] const auto r = ::read(wake_fd_, &count, sizeof(count));
         } else if (ev.data.fd == listen_fd_) {
           accept_pending();
         } else {
           handle_conn_event(ev);
         }
       }
-      run_commands();
+      run_pending();
     }
     // Teardown: close all connections without callbacks (endpoint gone).
     for (auto& [fd, conn] : conns_) ::close(conn.fd);
     conns_.clear();
     by_id_.clear();
+    t_loop_endpoint = nullptr;
   }
 
-  void drain_wake() {
-    std::uint64_t buf;
-    while (::read(wake_fd_, &buf, sizeof(buf)) > 0) {
+  /// Runs the commands and sends queued since the last turn in the order
+  /// they were posted, then flushes each connection that gained data with
+  /// one writev. Repeats while handlers run here queue more.
+  void run_pending() {
+    while (true) {
+      {
+        MutexLock lock(mu_);
+        pending_commands_.swap(commands_);
+        pending_sends_.swap(outbox_);
+      }
+      if (pending_commands_.empty() && pending_sends_.empty()) return;
+      std::size_t next = 0;
+      for (Command& cmd : pending_commands_) {
+        for (; next < cmd.outbox_mark; ++next) append_write(pending_sends_[next]);
+        cmd.run();
+      }
+      for (; next < pending_sends_.size(); ++next) {
+        append_write(pending_sends_[next]);
+      }
+      pending_commands_.clear();
+      pending_sends_.clear();
+      for (const ConnId id : dirty_) {
+        const auto it = by_id_.find(id);
+        if (it == by_id_.end()) continue;  // closed since its data arrived
+        Conn& conn = *it->second;
+        conn.dirty = false;
+        // With EPOLLOUT armed the socket is full; its event resumes the flush.
+        if (!conn.want_write) flush_writes(conn);
+      }
+      dirty_.clear();
     }
-  }
-
-  void run_commands() {
-    std::vector<std::function<void()>> cmds;
-    {
-      MutexLock lock(mu_);
-      cmds.swap(commands_);
-    }
-    for (auto& cmd : cmds) cmd();
   }
 
   void accept_pending() {
@@ -314,12 +383,11 @@ class TcpEndpoint final : public Endpoint {
       set_nodelay(fd);
       const ConnId id{next_conn_.fetch_add(1, std::memory_order_relaxed)};
       counters_.on_accept();
-      register_conn(fd, id, /*inbound=*/true);
+      register_conn(fd, id);
     }
   }
 
-  void register_conn(int fd, ConnId id, bool inbound) {
-    (void)inbound;
+  void register_conn(int fd, ConnId id) {
     auto [it, _] = conns_.try_emplace(fd);
     Conn& conn = it->second;
     conn.fd = fd;
@@ -347,49 +415,72 @@ class TcpEndpoint final : public Endpoint {
     if (ev.events & EPOLLOUT) flush_writes(conn);
   }
 
-  /// Returns false if the connection was closed.
+  /// One read() into the scratch buffer per readiness event, repeated
+  /// only while reads fill it: epoll is level-triggered, so bytes left in
+  /// the socket are reported again. Returns false if the connection was
+  /// closed.
   bool read_available(Conn& conn) {
     while (true) {
-      const std::size_t old_size = conn.read_buffer.size();
-      conn.read_buffer.resize(old_size + kReadChunk);
-      const ssize_t n =
-          ::read(conn.fd, conn.read_buffer.data() + old_size, kReadChunk);
-      if (n > 0) {
-        conn.read_buffer.resize(old_size + static_cast<std::size_t>(n));
-        if (!parse_frames(conn)) return false;
-        continue;
-      }
-      conn.read_buffer.resize(old_size);
-      if (n == 0 || (errno != EAGAIN && errno != EWOULDBLOCK)) {
+      // A short tail is copied in front of the new bytes so the frame it
+      // starts completes in place; a long one (a frame larger than half
+      // the scratch) grows in the connection until it is whole.
+      const bool in_scratch = conn.tail.size() <= kReadChunk / 2;
+      const std::size_t have = in_scratch ? conn.tail.size() : 0;
+      if (have > 0) std::memcpy(scratch_.get(), conn.tail.data(), have);
+      const std::size_t room = kReadChunk - have;
+      const ssize_t n = ::read(conn.fd, scratch_.get() + have, room);
+      if (n <= 0) {
+        if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) return true;
         close_conn(conn, /*notify=*/true);
         return false;
       }
-      return true;  // drained
+      const auto got = static_cast<std::size_t>(n);
+      if (!in_scratch) {
+        conn.tail.insert(conn.tail.end(), scratch_.get(), scratch_.get() + got);
+      }
+      const std::span<const std::uint8_t> data =
+          in_scratch ? std::span<const std::uint8_t>(scratch_.get(), have + got)
+                     : std::span<const std::uint8_t>(conn.tail);
+      const auto consumed = parse_frames(conn, data);
+      if (!consumed) return false;
+      if (in_scratch) {
+        conn.tail.assign(data.begin() + static_cast<std::ptrdiff_t>(*consumed),
+                         data.end());
+      } else {
+        conn.tail.erase(conn.tail.begin(),
+                        conn.tail.begin() + static_cast<std::ptrdiff_t>(*consumed));
+      }
+      // A connection keeps no read memory between frames beyond a small tail.
+      if (conn.tail.empty() && conn.tail.capacity() > kReadChunk) {
+        wire::Bytes().swap(conn.tail);
+      }
+      if (got < room) return true;
     }
   }
 
-  /// Returns false if the connection was closed due to a protocol error.
-  bool parse_frames(Conn& conn) {
+  /// Delivers every complete frame in `data`; returns the bytes consumed,
+  /// or nullopt if a protocol error closed the connection.
+  std::optional<std::size_t> parse_frames(Conn& conn,
+                                          std::span<const std::uint8_t> data) {
     std::size_t offset = 0;
-    auto& buf = conn.read_buffer;
-    while (buf.size() - offset >= wire::kFrameHeaderSize) {
-      auto header = wire::FrameHeader::decode(
-          std::span<const std::uint8_t>(buf.data() + offset, buf.size() - offset));
+    while (data.size() - offset >= wire::kFrameHeaderSize) {
+      const auto rest = data.subspan(offset);
+      auto header = wire::FrameHeader::decode(rest);
       if (!header.is_ok()) {
         SDS_LOG(WARN) << address_ << ": protocol error: "
                       << header.status().to_string();
         close_conn(conn, /*notify=*/true);
-        return false;
+        return std::nullopt;
       }
       const std::size_t total = wire::kFrameHeaderSize + header->length;
-      if (buf.size() - offset < total) break;
-      std::size_t body_end = offset + total;
+      if (rest.size() < total) break;
+      auto body = rest.subspan(wire::kFrameHeaderSize, header->length);
       const bool traced = (header->flags & wire::kFlagTraceContext) != 0;
-      if (traced && header->length < wire::kTraceContextSize) {
+      if (traced && body.size() < wire::kTraceContextSize) {
         SDS_LOG(WARN) << address_
                       << ": protocol error: trace flag on short frame";
         close_conn(conn, /*notify=*/true);
-        return false;
+        return std::nullopt;
       }
       wire::Frame frame;
       frame.type = header->type;
@@ -397,57 +488,51 @@ class TcpEndpoint final : public Endpoint {
         // The 16-byte trace trailer sits after the message payload; strip
         // it so the message decoders see exactly the payload bytes.
         frame.trace = wire::TraceContext::decode_trailer(
-            std::span<const std::uint8_t>(
-                buf.data() + body_end - wire::kTraceContextSize,
-                wire::kTraceContextSize));
-        body_end -= wire::kTraceContextSize;
+            body.last(wire::kTraceContextSize));
+        body = body.first(body.size() - wire::kTraceContextSize);
       }
-      frame.payload.assign(buf.begin() + static_cast<std::ptrdiff_t>(offset + wire::kFrameHeaderSize),
-                           buf.begin() + static_cast<std::ptrdiff_t>(body_end));
+      frame.payload.assign(body.begin(), body.end());
       counters_.on_receive(total);
-      deliver_frame(conn.id, std::move(frame));
+      // Handlers may send or close, but both only queue work for
+      // run_pending(), so `conn` and `data` stay valid here.
+      if (loop_frame_handler_) loop_frame_handler_(conn.id, std::move(frame));
       offset += total;
     }
-    if (offset > 0) buf.erase(buf.begin(), buf.begin() + static_cast<std::ptrdiff_t>(offset));
-    return true;
-  }
-
-  void deliver_frame(ConnId id, wire::Frame frame) {
-    FrameHandler handler;
-    {
-      MutexLock lock(mu_);
-      handler = frame_handler_;
-    }
-    if (handler) handler(id, std::move(frame));
+    return offset;
   }
 
   void notify_conn(ConnId id, ConnEvent event) {
-    ConnEventHandler handler;
-    {
-      MutexLock lock(mu_);
-      handler = conn_handler_;
-    }
-    if (handler) handler(id, event);
+    if (loop_conn_handler_) loop_conn_handler_(id, event);
   }
 
-  void queue_write(ConnId id, WriteBuf buf) {
-    const auto it = by_id_.find(id);
+  /// Moves one outbox entry onto its connection's write queue.
+  void append_write(Outgoing& out) {
+    const auto it = by_id_.find(out.conn);
     if (it == by_id_.end()) return;  // closed before the send ran
     Conn& conn = *it->second;
     if (options_.send_queue_limit != 0 &&
         conn.write_queue.size() >= options_.send_queue_limit) {
-      SDS_LOG(WARN) << address_ << ": send queue overflow, closing conn";
-      close_conn(conn, /*notify=*/true);
-      return;
+      // The limit bounds what the socket refused, not one turn's burst:
+      // write what it takes before judging.
+      if (!flush_writes(conn)) return;
+      if (conn.write_queue.size() >= options_.send_queue_limit) {
+        SDS_LOG(WARN) << address_ << ": send queue overflow, closing conn";
+        close_conn(conn, /*notify=*/true);
+        return;
+      }
     }
-    conn.write_queue.push_back(std::move(buf));
-    flush_writes(conn);
+    conn.write_queue.push_back(std::move(out.buf));
+    if (!conn.dirty) {
+      conn.dirty = true;
+      dirty_.push_back(conn.id);
+    }
   }
 
   /// Vectored flush: gathers queued frames (header+payload are already
-  /// contiguous per buffer) into one writev, so a burst of broadcast
-  /// frames leaves in a single syscall instead of one write per frame.
-  void flush_writes(Conn& conn) {
+  /// contiguous per buffer) into one writev, so a burst of frames leaves
+  /// in a single syscall instead of one write per frame. Returns false if
+  /// the connection was closed.
+  bool flush_writes(Conn& conn) {
     while (!conn.write_queue.empty()) {
       std::array<iovec, kMaxIov> iov;
       std::size_t iov_count = 0;
@@ -466,7 +551,7 @@ class TcpEndpoint final : public Endpoint {
       if (n < 0) {
         if (errno == EAGAIN || errno == EWOULDBLOCK) break;
         close_conn(conn, /*notify=*/true);
-        return;
+        return false;
       }
       std::size_t written = static_cast<std::size_t>(n);
       while (written > 0) {
@@ -490,6 +575,7 @@ class TcpEndpoint final : public Endpoint {
       ev.data.fd = conn.fd;
       ::epoll_ctl(epoll_fd_, EPOLL_CTL_MOD, conn.fd, &ev);
     }
+    return true;
   }
 
   void close_conn(Conn& conn, bool notify) {
@@ -518,11 +604,18 @@ class TcpEndpoint final : public Endpoint {
   Mutex mu_{LockRank::kTransportEndpoint};
   FrameHandler frame_handler_ SDS_GUARDED_BY(mu_);
   ConnEventHandler conn_handler_ SDS_GUARDED_BY(mu_);
-  std::vector<std::function<void()>> commands_ SDS_GUARDED_BY(mu_);
+  std::vector<Outgoing> outbox_ SDS_GUARDED_BY(mu_);
+  std::vector<Command> commands_ SDS_GUARDED_BY(mu_);
 
   // Event-loop-thread-only state.
   std::unordered_map<int, Conn> conns_;       // sdscheck: allow(unguarded-field)
   std::unordered_map<ConnId, Conn*> by_id_;   // sdscheck: allow(unguarded-field)
+  std::unique_ptr<std::uint8_t[]> scratch_;   // sdscheck: allow(unguarded-field)
+  FrameHandler loop_frame_handler_;           // sdscheck: allow(unguarded-field)
+  ConnEventHandler loop_conn_handler_;        // sdscheck: allow(unguarded-field)
+  std::vector<Outgoing> pending_sends_;       // sdscheck: allow(unguarded-field)
+  std::vector<Command> pending_commands_;     // sdscheck: allow(unguarded-field)
+  std::vector<ConnId> dirty_;                 // sdscheck: allow(unguarded-field)
 
   CounterBlock counters_;
 };

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <deque>
 #include <thread>
 #include <vector>
 
@@ -16,6 +17,36 @@ TEST(QueueTest, PushPopSingleThread) {
   EXPECT_EQ(q.size(), 2u);
   EXPECT_EQ(q.pop(), 1);
   EXPECT_EQ(q.pop(), 2);
+}
+
+TEST(QueueTest, PopAllTakesEverythingInOrder) {
+  Queue<int> q;
+  for (int i = 0; i < 5; ++i) EXPECT_TRUE(q.push(i));
+  std::deque<int> batch = {42};  // stale contents are discarded
+  ASSERT_TRUE(q.pop_all(batch));
+  EXPECT_EQ(batch, (std::deque<int>{0, 1, 2, 3, 4}));
+  EXPECT_EQ(q.size(), 0u);
+  EXPECT_TRUE(q.push(5));
+  q.close();
+  ASSERT_TRUE(q.pop_all(batch));  // a closed queue still drains
+  EXPECT_EQ(batch, std::deque<int>{5});
+  EXPECT_FALSE(q.pop_all(batch));
+  EXPECT_TRUE(batch.empty());
+}
+
+TEST(QueueTest, PopAllFreesRoomInBoundedQueue) {
+  Queue<int> q(2);
+  EXPECT_TRUE(q.push(1));
+  EXPECT_TRUE(q.push(2));
+  std::thread producer([&] {
+    EXPECT_TRUE(q.push(3));  // blocks until the batch pop frees room
+  });
+  std::deque<int> batch;
+  ASSERT_TRUE(q.pop_all(batch));
+  EXPECT_EQ(batch, (std::deque<int>{1, 2}));
+  producer.join();
+  ASSERT_TRUE(q.pop_all(batch));
+  EXPECT_EQ(batch, std::deque<int>{3});
 }
 
 TEST(QueueTest, TryPopEmptyReturnsNullopt) {

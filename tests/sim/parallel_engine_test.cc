@@ -12,6 +12,7 @@
 #include <functional>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -126,7 +127,13 @@ std::vector<std::string> run_pingpong(std::size_t lanes,
   opt.seed = 1;
   opt.force_threads = force_threads;
   LaneRunner runner(opt);
-  EXPECT_EQ(runner.threaded(), force_threads && lanes > 1);
+  // The runner's own rule: threads whenever forced, and otherwise on any
+  // box with spare hardware threads unless nested in a pool worker.
+  const bool expect_threads =
+      lanes > 1 && (force_threads ||
+                    (!ThreadPool::in_worker() &&
+                     std::thread::hardware_concurrency() > 1));
+  EXPECT_EQ(runner.threaded(), expect_threads);
   const auto n = static_cast<std::uint32_t>(runner.lanes());
   Recorder rec;
   std::function<void(std::uint32_t, int)> hop;

@@ -4,7 +4,9 @@
 
 #include <atomic>
 #include <chrono>
+#include <future>
 #include <thread>
+#include <vector>
 
 #include "common/queue.h"
 #include "proto/messages.h"
@@ -257,6 +259,44 @@ TEST(InProcTest, SelfConnectionWorks) {
   const ConnId conn = node->connect("node").value();
   ASSERT_TRUE(node->send(conn, test_frame(1)).is_ok());
   EXPECT_TRUE(eventually([&] { return received.load() == 1; }));
+}
+
+TEST(InProcTest, BatchedDeliveryKeepsSendOrderAndClosesLast) {
+  // Written on the server's delivery thread only, read after `done`;
+  // declared before the endpoints, whose threads use them.
+  constexpr int kClosedMark = -1;
+  std::vector<int> events;
+  std::promise<void> release;
+  const std::shared_future<void> released = release.get_future().share();
+  std::promise<void> done;
+  InProcNetwork net;
+  auto server = net.bind("server", {}).value();
+  auto client = net.bind("client", {}).value();
+  server->set_frame_handler([&](ConnId, wire::Frame f) {
+    // Hold the first frame until every frame and the close are queued,
+    // so the rest arrive as one batch.
+    if (events.empty()) released.wait();
+    events.push_back(f.type);
+  });
+  server->set_conn_handler([&](ConnId, ConnEvent e) {
+    if (e != ConnEvent::kClosed) return;
+    events.push_back(kClosedMark);
+    done.set_value();
+  });
+
+  const ConnId conn = client->connect("server").value();
+  constexpr int kFrames = 10'000;
+  for (int i = 0; i < kFrames; ++i) {
+    EXPECT_TRUE(
+        client->send(conn, test_frame(static_cast<std::uint16_t>(i))).is_ok());
+  }
+  client->close(conn);
+  release.set_value();
+  ASSERT_EQ(done.get_future().wait_for(10s), std::future_status::ready);
+
+  ASSERT_EQ(events.size(), static_cast<std::size_t>(kFrames) + 1);
+  for (int i = 0; i < kFrames; ++i) ASSERT_EQ(events[i], i) << "event " << i;
+  EXPECT_EQ(events.back(), kClosedMark);
 }
 
 }  // namespace

@@ -1,12 +1,24 @@
 #include "transport/tcp.h"
 
+#include <arpa/inet.h>
+#include <netinet/in.h>
+#include <netinet/tcp.h>
+#include <sys/socket.h>
+#include <unistd.h>
+
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <cerrno>
 #include <chrono>
+#include <span>
+#include <string>
 #include <thread>
+#include <vector>
 
 #include "common/queue.h"
+#include "common/rng.h"
 
 namespace sds::transport {
 namespace {
@@ -32,6 +44,90 @@ bool eventually(Pred pred, std::chrono::milliseconds deadline = 3000ms) {
   }
   return pred();
 }
+
+/// A plain blocking POSIX socket connected to an endpoint, for writing
+/// bytes at cut points (or of a shape) no Endpoint would produce.
+class RawClient {
+ public:
+  /// `rcvbuf` > 0 shrinks the receive buffer before connecting, so a peer
+  /// that stops reading stalls the endpoint's writes quickly.
+  explicit RawClient(const std::string& address, int rcvbuf = 0) {
+    fd_ = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
+    if (fd_ < 0) return;
+    if (rcvbuf > 0) {
+      ::setsockopt(fd_, SOL_SOCKET, SO_RCVBUF, &rcvbuf, sizeof(rcvbuf));
+    }
+    int one = 1;  // every write leaves as its own segment
+    ::setsockopt(fd_, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+    const auto colon = address.rfind(':');
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_port =
+        htons(static_cast<std::uint16_t>(std::stoi(address.substr(colon + 1))));
+    ::inet_pton(AF_INET, address.substr(0, colon).c_str(), &addr.sin_addr);
+    connected_ =
+        ::connect(fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) == 0;
+  }
+  ~RawClient() {
+    if (fd_ >= 0) ::close(fd_);
+  }
+  RawClient(const RawClient&) = delete;
+  RawClient& operator=(const RawClient&) = delete;
+
+  [[nodiscard]] bool connected() const { return connected_; }
+
+  bool write_all(std::span<const std::uint8_t> bytes) {
+    while (!bytes.empty()) {
+      // MSG_NOSIGNAL: a connection the endpoint closed fails the write
+      // instead of killing the test with SIGPIPE.
+      const ssize_t n = ::send(fd_, bytes.data(), bytes.size(), MSG_NOSIGNAL);
+      if (n < 0 && errno == EINTR) continue;
+      if (n <= 0) return false;
+      bytes = bytes.subspan(static_cast<std::size_t>(n));
+    }
+    return true;
+  }
+
+  /// True once the endpoint has closed this connection; reads (and
+  /// discards) whatever it sent first.
+  bool sees_eof(std::chrono::milliseconds deadline) {
+    timeval tick{0, 100'000};
+    ::setsockopt(fd_, SOL_SOCKET, SO_RCVTIMEO, &tick, sizeof(tick));
+    const auto until = std::chrono::steady_clock::now() + deadline;
+    std::vector<std::uint8_t> sink(64 * 1024);
+    while (std::chrono::steady_clock::now() < until) {
+      const ssize_t n = ::read(fd_, sink.data(), sink.size());
+      if (n == 0) return true;
+      if (n < 0 && errno == ECONNRESET) return true;
+    }
+    return false;
+  }
+
+ private:
+  int fd_ = -1;
+  bool connected_ = false;
+};
+
+/// An endpoint client plus a round trip against an echoing server: the
+/// check that a server still serves its other connections.
+struct EchoClient {
+  Queue<wire::Frame> echoes;  // outlives the endpoint that fills it
+  std::unique_ptr<Endpoint> endpoint;
+  ConnId conn;
+
+  EchoClient(TcpNetwork& net, const std::string& server_address) {
+    endpoint = net.bind("127.0.0.1:0", {}).value();
+    endpoint->set_frame_handler(
+        [this](ConnId, wire::Frame f) { echoes.push(std::move(f)); });
+    conn = endpoint->connect(server_address).value();
+  }
+
+  bool round_trip(std::uint16_t type) {
+    if (!endpoint->send(conn, test_frame(type, 32)).is_ok()) return false;
+    auto echo = echoes.pop_for(seconds(5));
+    return echo.has_value() && echo->type == type;
+  }
+};
 
 TEST(TcpTest, BindEphemeralPortReportsAddress) {
   TcpNetwork net;
@@ -219,6 +315,191 @@ TEST(TcpTest, StressManyClientsConcurrently) {
   for (auto& t : threads) t.join();
   EXPECT_TRUE(eventually(
       [&] { return received.load() == kClients * kPerClient; }, 10000ms));
+}
+
+TEST(TcpTest, FramesSentBeforeCloseStillArrive) {
+  // send() and close() reach the event loop by different queues; the
+  // loop must still run them in the order they were called.
+  Queue<int> events;  // frame types, then -1 for the close
+  TcpNetwork net;
+  auto server = net.bind("127.0.0.1:0", {}).value();
+  server->set_frame_handler(
+      [&](ConnId, wire::Frame f) { events.push(f.type); });
+  server->set_conn_handler([&](ConnId, ConnEvent e) {
+    if (e == ConnEvent::kClosed) events.push(-1);
+  });
+  auto client = net.bind("127.0.0.1:0", {}).value();
+  const ConnId conn = client->connect(server->address()).value();
+  constexpr int kFrames = 50;
+  for (int i = 0; i < kFrames; ++i) {
+    ASSERT_TRUE(
+        client->send(conn, test_frame(static_cast<std::uint16_t>(i))).is_ok());
+  }
+  client->close(conn);
+  for (int i = 0; i < kFrames; ++i) {
+    auto event = events.pop_for(seconds(5));
+    ASSERT_TRUE(event.has_value()) << "frame " << i << " never arrived";
+    ASSERT_EQ(*event, i);
+  }
+  auto last = events.pop_for(seconds(5));
+  ASSERT_TRUE(last.has_value());
+  EXPECT_EQ(*last, -1);
+}
+
+/// The endpoint's read scratch buffer size: the most one read() takes.
+constexpr std::size_t kReadChunk = 64 * 1024;
+
+TEST(TcpTest, ReassemblesFramesCutAtRandomOffsets) {
+  Queue<wire::Frame> received;
+  TcpNetwork net;
+  auto server = net.bind("127.0.0.1:0", {}).value();
+  server->set_frame_handler(
+      [&](ConnId, wire::Frame f) { received.push(std::move(f)); });
+
+  Rng rng(0x5EED'F4A3);
+  constexpr std::size_t kFrames = 600;
+  std::vector<wire::Frame> sent;
+  wire::Bytes stream;
+  for (std::size_t i = 0; i < kFrames; ++i) {
+    wire::Frame frame;
+    frame.type = static_cast<std::uint16_t>(i);
+    std::size_t size = rng.next_below(400);
+    if (i % 97 == 13) size = rng.next_below(20'000);
+    if (i == 200) size = kReadChunk * 5 / 8;  // spans the tail threshold
+    if (i == 300) size = kReadChunk * 3 + 17;  // larger than one read
+    if (i == 400) size = 0;
+    frame.payload.resize(size);
+    for (auto& byte : frame.payload) {
+      byte = static_cast<std::uint8_t>(rng.next_u64());
+    }
+    if (i == 150 || i == 400) {
+      frame.trace = wire::TraceContext{rng.next_u64(), rng.next_u64()};
+    }
+    const wire::Bytes bytes = frame.serialize();
+    stream.insert(stream.end(), bytes.begin(), bytes.end());
+    sent.push_back(std::move(frame));
+  }
+
+  RawClient raw(server->address());
+  ASSERT_TRUE(raw.connected());
+  std::size_t pos = 0;
+  std::size_t writes = 0;
+  while (pos < stream.size()) {
+    // Mostly cuts inside one header or one small frame, some across many
+    // frames, and a few beyond the endpoint's read chunk.
+    const std::uint64_t kind = rng.next_below(64);
+    std::size_t cut = 0;
+    if (kind < 40) {
+      cut = 1 + rng.next_below(wire::kFrameHeaderSize + 4);
+    } else if (kind < 60) {
+      cut = 1 + rng.next_below(1'000);
+    } else if (kind < 63) {
+      cut = 1 + rng.next_below(12'000);
+    } else {
+      cut = kReadChunk / 2 + rng.next_below(kReadChunk);
+    }
+    cut = std::min(cut, stream.size() - pos);
+    ASSERT_TRUE(raw.write_all(std::span(stream).subspan(pos, cut)));
+    pos += cut;
+    ++writes;
+    // Often let the endpoint read this piece on its own.
+    if (rng.bernoulli(0.3)) std::this_thread::sleep_for(50us);
+  }
+  EXPECT_GT(writes, 100u);
+
+  for (std::size_t i = 0; i < kFrames; ++i) {
+    auto got = received.pop_for(seconds(5));
+    ASSERT_TRUE(got.has_value()) << "frame " << i << " never arrived";
+    ASSERT_EQ(got->type, sent[i].type) << "frame " << i;
+    ASSERT_TRUE(got->payload == sent[i].payload) << "frame " << i;
+    ASSERT_EQ(got->trace, sent[i].trace) << "frame " << i;
+  }
+  EXPECT_EQ(server->counters().messages_received, kFrames);
+  EXPECT_EQ(server->counters().bytes_received, stream.size());
+}
+
+TEST(TcpTest, BadHeaderClosesOnlyThatConnection) {
+  Queue<ConnId> closed;  // declared first: the server's loop pushes to it
+  TcpNetwork net;
+  auto server = net.bind("127.0.0.1:0", {}).value();
+  server->set_conn_handler([&](ConnId c, ConnEvent e) {
+    if (e == ConnEvent::kClosed) closed.push(c);
+  });
+  server->set_frame_handler(
+      [&](ConnId c, wire::Frame f) { (void)server->send(c, std::move(f)); });
+  EchoClient client(net, server->address());
+  ASSERT_TRUE(client.round_trip(1));
+
+  wire::Bytes bad_magic = test_frame(2).serialize();
+  bad_magic[0] ^= 0xFF;
+  wire::Encoder too_long;
+  wire::FrameHeader{3, 0, wire::kMaxFramePayload + 1}.encode(too_long);
+  for (const wire::Bytes& bytes : {bad_magic, too_long.take()}) {
+    RawClient raw(server->address());
+    ASSERT_TRUE(raw.connected());
+    ASSERT_TRUE(raw.write_all(bytes));
+    EXPECT_TRUE(closed.pop_for(seconds(5)).has_value());
+    EXPECT_TRUE(raw.sees_eof(5000ms));
+    ASSERT_TRUE(client.round_trip(4));
+  }
+  EXPECT_FALSE(closed.try_pop().has_value());  // the good one stayed open
+  EXPECT_EQ(server->counters().current_connections, 1u);
+}
+
+TEST(TcpTest, RepliesFromTheFrameHandlerArriveInOrder) {
+  // The server answers on its own event-loop thread, on the connection
+  // being parsed, as StageHost does.
+  TcpNetwork net;
+  auto server = net.bind("127.0.0.1:0", {}).value();
+  server->set_frame_handler(
+      [&](ConnId c, wire::Frame f) { (void)server->send(c, std::move(f)); });
+  EchoClient client(net, server->address());
+
+  constexpr std::uint16_t kFrames = 2000;
+  for (std::uint16_t i = 0; i < kFrames; ++i) {
+    ASSERT_TRUE(client.endpoint->send(client.conn, test_frame(i, 24)).is_ok());
+  }
+  for (std::uint16_t i = 0; i < kFrames; ++i) {
+    auto reply = client.echoes.pop_for(seconds(5));
+    ASSERT_TRUE(reply.has_value()) << "reply " << i << " never arrived";
+    ASSERT_EQ(reply->type, i);
+    ASSERT_EQ(reply->payload.size(), 24u);
+  }
+}
+
+TEST(TcpTest, SendQueueOverflowClosesOnlyTheStalledConnection) {
+  Queue<ConnId> closed;  // declared first: the server's loop pushes to it
+  TcpNetwork net;
+  EndpointOptions options;
+  options.send_queue_limit = 2;
+  auto server = net.bind("127.0.0.1:0", options).value();
+  server->set_conn_handler([&](ConnId c, ConnEvent e) {
+    if (e == ConnEvent::kClosed) closed.push(c);
+  });
+  // Type 1 asks for a 1 MiB reply; anything else is echoed.
+  server->set_frame_handler([&](ConnId c, wire::Frame f) {
+    if (f.type == 1) f.payload.assign(1 << 20, 0xAB);
+    (void)server->send(c, std::move(f));
+  });
+  EchoClient client(net, server->address());
+  ASSERT_TRUE(client.round_trip(2));
+
+  // Eight requests in one write: one parse pass queues eight large
+  // replies to a peer that never reads them.
+  RawClient stalled(server->address(), /*rcvbuf=*/4096);
+  ASSERT_TRUE(stalled.connected());
+  wire::Bytes burst;
+  for (int i = 0; i < 8; ++i) {
+    const wire::Bytes request = test_frame(1).serialize();
+    burst.insert(burst.end(), request.begin(), request.end());
+  }
+  ASSERT_TRUE(stalled.write_all(burst));
+
+  ASSERT_TRUE(closed.pop_for(seconds(5)).has_value());
+  EXPECT_TRUE(client.round_trip(3));
+  EXPECT_FALSE(closed.try_pop().has_value());
+  EXPECT_EQ(server->counters().current_connections, 1u);
+  EXPECT_TRUE(stalled.sees_eof(5000ms));
 }
 
 }  // namespace
