@@ -56,7 +56,6 @@ Metrics evaluate(const ControlAlgorithm& algo,
 }  // namespace
 
 int main(int argc, char** argv) {
-  bench::print_lanes_note(bench::sim_lanes(argc, argv));
   std::printf("\nAblation — PSFA vs baselines (same demands, budget 100k)\n");
   std::printf("=========================================================\n");
   bench::Telemetry telemetry("ablation_algorithms", argc, argv);

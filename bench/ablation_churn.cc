@@ -19,7 +19,6 @@ using namespace sds;
 
 int main(int argc, char** argv) {
   const bool quick = bench::quick_flag(argc, argv);
-  bench::print_lanes_note(bench::sim_lanes(argc, argv));
   bench::print_title("Ablation — churn rate vs degraded cycles at 2,500 nodes");
   std::printf(
       "  plan per row: stage MTBF as listed, downtime 2 s, quorum 90%%,\n"

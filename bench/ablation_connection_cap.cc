@@ -12,7 +12,6 @@
 using namespace sds;
 
 int main(int argc, char** argv) {
-  bench::print_lanes_note(bench::sim_lanes(argc, argv));
   bench::print_title("Ablation — per-node connection cap");
   bench::Telemetry telemetry("ablation_connection_cap", argc, argv);
   bench::Sweep sweep(argc, argv);

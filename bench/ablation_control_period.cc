@@ -17,7 +17,6 @@
 using namespace sds;
 
 int main(int argc, char** argv) {
-  bench::print_lanes_note(bench::sim_lanes(argc, argv));
   bench::print_title("Ablation — control period vs PFS utilization (bursty)");
   std::printf("%-16s %10s %10s %12s %10s\n", "period", "cycles",
               "cycle(ms)", "data-util", "meta-util");

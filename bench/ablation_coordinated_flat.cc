@@ -16,7 +16,6 @@
 using namespace sds;
 
 int main(int argc, char** argv) {
-  bench::print_lanes_note(bench::sim_lanes(argc, argv));
   bench::print_title(
       "Ablation — hierarchical vs coordinated flat at 10,000 nodes");
   bench::print_latency_header();

@@ -11,7 +11,6 @@
 using namespace sds;
 
 int main(int argc, char** argv) {
-  bench::print_lanes_note(bench::sim_lanes(argc, argv));
   bench::print_title("Ablation — parallel vs serialized aggregator fan-out");
   bench::print_latency_header();
   bench::Telemetry telemetry("ablation_fanout", argc, argv);

@@ -37,7 +37,6 @@ void sweep_row(bench::Sweep& sweep, const std::string& label,
 }  // namespace
 
 int main(int argc, char** argv) {
-  bench::print_lanes_note(bench::sim_lanes(argc, argv));
   bench::print_title("Ablation — 2-level vs 3-level hierarchies");
   bench::Telemetry telemetry("ablation_hierarchy_depth", argc, argv);
   bench::Sweep sweep(argc, argv);

@@ -13,7 +13,6 @@
 using namespace sds;
 
 int main(int argc, char** argv) {
-  bench::print_lanes_note(bench::sim_lanes(argc, argv));
   bench::print_title("Ablation — centralized PSFA vs aggregator-local PSFA");
   bench::print_latency_header();
   bench::Telemetry telemetry("ablation_local_decisions", argc, argv);

@@ -11,7 +11,6 @@
 using namespace sds;
 
 int main(int argc, char** argv) {
-  bench::print_lanes_note(bench::sim_lanes(argc, argv));
   bench::print_title(
       "Fig. 5 — hierarchical design: 10,000 nodes, varying aggregators");
   bench::print_latency_header();

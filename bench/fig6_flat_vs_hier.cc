@@ -13,7 +13,6 @@
 using namespace sds;
 
 int main(int argc, char** argv) {
-  bench::print_lanes_note(bench::sim_lanes(argc, argv));
   bench::print_title(
       "Fig. 6 — flat vs hierarchical (1 aggregator) at 2,500 nodes");
   bench::print_latency_header();

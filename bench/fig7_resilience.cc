@@ -11,7 +11,7 @@
 // control loop.
 //
 // The plan is deterministic (seeded; see fault/plan.h), so rows are
-// bit-identical across --lanes=N and across repeated runs. Pass
+// bit-identical across repeated runs. Pass
 // --fault-plan=FILE to replay a custom plan instead of the built-in one.
 #include <cstring>
 #include <string>
@@ -41,7 +41,6 @@ fault::FaultPlan default_plan() {
 
 int main(int argc, char** argv) {
   const bool quick = bench::quick_flag(argc, argv);
-  bench::print_lanes_note(bench::sim_lanes(argc, argv));
   bench::print_title("Fig. 7 — resilience under churn, flat vs hierarchical");
 
   fault::FaultPlan plan = default_plan();

@@ -7,7 +7,6 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <filesystem>
 #include <optional>
 #include <string>
@@ -181,43 +180,6 @@ inline bool extended_flag(int argc, char** argv) {
     if (std::string_view(argv[i]) == "--extended") return true;
   }
   return false;
-}
-
-/// Resolve the simulator lane count for this bench process: --lanes=N
-/// beats SDSCALE_SIM_LANES beats serial (mirroring sweep_jobs). The flag
-/// is normalized into the env var, which run_experiment reads whenever a
-/// config leaves `lanes` at 0 — so one call at the top of main() covers
-/// every configuration the bench constructs. Lanes are deterministic:
-/// results stay bit-identical to a serial run, only wall-clock changes.
-/// Returns the resolved request (0 = serial default) for display.
-inline std::size_t sim_lanes(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--lanes=", 8) == 0) {
-      const long parsed = std::strtol(argv[i] + 8, nullptr, 10);
-      if (parsed > 0) {
-        char buf[32];
-        std::snprintf(buf, sizeof buf, "%ld", parsed);
-        ::setenv("SDSCALE_SIM_LANES", buf, 1);
-      }
-    }
-  }
-  if (const char* env = std::getenv("SDSCALE_SIM_LANES")) {
-    char* end = nullptr;
-    const unsigned long parsed = std::strtoul(env, &end, 10);
-    if (end != env && *end == '\0' && parsed > 0) {
-      return static_cast<std::size_t>(parsed);
-    }
-  }
-  return 0;
-}
-
-/// Standard banner for benches honoring --lanes / SDSCALE_SIM_LANES.
-/// Prints nothing in the serial default, so existing golden output is
-/// unchanged unless lanes were explicitly requested.
-inline void print_lanes_note(std::size_t lanes) {
-  if (lanes > 0) {
-    std::printf("  sim lanes: %zu (results bit-identical to serial)\n", lanes);
-  }
 }
 
 /// Default simulated stress duration for bench runs. The paper runs >= 5

@@ -8,10 +8,15 @@
 //   codec.encode_msgs_per_sec    — StageMetrics encode into pooled
 //   codec.decode_msgs_per_sec      SharedFrame images / decode back.
 //   sim.cycles_per_sec           — end-to-end control cycles at N=500.
+//   sim.tracing.overhead_pct     — the same cycles under 4 aggregators,
+//                                  serial vs traced (median of pairs).
 //
+// Each gate prints `gate <name>: ran (<value> vs <bar>)` or
+// `gate <name>: skipped(<reason>)`; a failing gate exits 1.
 // Writes BENCH_cycle.json (cwd, or $SDSCALE_BENCH_OUT/BENCH_cycle.json)
 // so successive commits can diff baselines. `--quick` shrinks the run
 // for the `perf`-labeled CTest smoke.
+#include <algorithm>
 #include <bit>
 #include <chrono>
 #include <cstdint>
@@ -297,37 +302,35 @@ double sim_cycles_per_sec(Nanos sim_duration) {
   sds::sim::ExperimentConfig config;
   config.num_stages = 500;
   config.duration = sim_duration;
-  config.lanes = 1;  // pin serial: this pillar measures the DES core
   const auto start = std::chrono::steady_clock::now();
   auto result = sds::sim::run_experiment(config);
   if (!result.is_ok()) return 0;
   return static_cast<double>(result->cycles) / seconds_since(start);
 }
 
-// Serial-vs-lanes A/B on a hierarchical config (one aggregator subtree
-// per lane). Alongside throughput, a fingerprint over the result's
-// bit patterns asserts the parallel run is *identical* to serial — the
-// speedup only counts if determinism holds.
-struct LanesAb {
+// One run of the hierarchical config (500 stages under 4 aggregators)
+// with optional tracing sinks. Alongside throughput, a fingerprint over
+// the result's bit patterns lets the tracing A/B assert that tracing
+// leaves the simulated results *identical*.
+struct HierRun {
   double cycles_per_sec = 0;
   std::uint64_t fingerprint = 0;
   bool ok = false;
 };
 
-LanesAb sim_cycles_with_lanes(Nanos sim_duration, std::size_t lanes,
-                              sds::telemetry::SpanTracer* tracer = nullptr,
-                              sds::telemetry::FlightRecorder* flight = nullptr) {
+HierRun sim_hier_run(Nanos sim_duration,
+                     sds::telemetry::SpanTracer* tracer = nullptr,
+                     sds::telemetry::FlightRecorder* flight = nullptr) {
   sds::sim::ExperimentConfig config;
   config.num_stages = 500;
   config.num_aggregators = 4;
   config.duration = sim_duration;
-  config.lanes = lanes;  // explicit, so the env default never interferes
   config.tracer = tracer;
   config.flight = flight;
   const auto start = std::chrono::steady_clock::now();
   auto result = sds::sim::run_experiment(config);
   if (!result.is_ok()) return {};
-  LanesAb out;
+  HierRun out;
   out.ok = true;
   out.cycles_per_sec = static_cast<double>(result->cycles) /
                        seconds_since(start);
@@ -349,6 +352,49 @@ LanesAb sim_cycles_with_lanes(Nanos sim_duration, std::size_t lanes,
   return out;
 }
 
+double median(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  const std::size_t n = v.size();
+  return n % 2 == 1 ? v[n / 2] : (v[n / 2 - 1] + v[n / 2]) / 2;
+}
+
+// One regression gate: it either ran (and passed or failed) or was
+// skipped for a stated reason; never silently.
+struct Gate {
+  explicit Gate(const char* gate_name) : name(gate_name) {}
+
+  const char* name;
+  bool ran = false;
+  bool pass = true;
+  std::string detail;  // "<value> vs <bar>" when ran, the reason if not
+
+  void report() const {
+    if (ran) {
+      std::printf("gate %s: ran (%s)\n", name, detail.c_str());
+      if (!pass) std::printf("FAIL: gate %s\n", name);
+    } else {
+      std::printf("gate %s: skipped(%s)\n", name, detail.c_str());
+    }
+  }
+
+  [[nodiscard]] std::string json() const {
+    std::string out = "{\"status\": \"";
+    out += ran ? "ran" : "skipped";
+    out += "\", ";
+    out += ran ? "\"measured\": \"" : "\"reason\": \"";
+    out += detail;
+    out += "\"";
+    if (ran) out += pass ? ", \"pass\": true" : ", \"pass\": false";
+    return out + "}";
+  }
+};
+
+std::string format(const char* fmt, double a, double b) {
+  char buf[96];
+  std::snprintf(buf, sizeof buf, fmt, a, b);
+  return buf;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -359,8 +405,15 @@ int main(int argc, char** argv) {
   const std::uint64_t engine_events = quick ? 1'000'000 : 4'000'000;
   const std::uint64_t codec_msgs = quick ? 100'000 : 1'000'000;
   const Nanos sim_duration = quick ? sds::seconds(2) : sds::seconds(10);
+  // Serial/traced pairs for the tracing A/B. One sample swings by tens
+  // of percent on a shared box, so the full run gates on the median of
+  // alternating pairs; quick mode runs one pair for the identity check.
+  const std::size_t tracing_pairs = quick ? 1 : 7;
+  unsigned hw_threads = std::thread::hardware_concurrency();
+  if (hw_threads == 0) hw_threads = 1;
 
-  std::printf("perf_cycle (%s)\n", quick ? "quick" : "full");
+  std::printf("perf_cycle (%s, %u hw threads)\n", quick ? "quick" : "full",
+              hw_threads);
 
   const double wheel = engine_events_per_sec<sds::sim::Engine>(engine_events);
   const double legacy = engine_events_per_sec<LegacyEngine>(engine_events);
@@ -381,63 +434,101 @@ int main(int argc, char** argv) {
   const double cycles = sim_cycles_per_sec(sim_duration);
   std::printf("sim.cycles_per_sec            %12.2f\n", cycles);
 
-  // Lanes A/B: same hierarchical experiment serial and with --lanes=4.
-  const std::size_t kAbLanes = 4;
-  const LanesAb serial = sim_cycles_with_lanes(sim_duration, 1);
-  const LanesAb laned = sim_cycles_with_lanes(sim_duration, kAbLanes);
-  const double lanes_speedup = serial.cycles_per_sec > 0
-                                   ? laned.cycles_per_sec /
-                                         serial.cycles_per_sec
-                                   : 0;
-  unsigned hw_threads = std::thread::hardware_concurrency();
-  if (hw_threads == 0) hw_threads = 1;
-  std::printf("sim.lanes.serial_cycles_per_sec %10.2f\n",
-              serial.cycles_per_sec);
-  std::printf("sim.lanes.lanes%zu_cycles_per_sec %10.2f\n", kAbLanes,
-              laned.cycles_per_sec);
-  std::printf("sim.lanes.speedup             %12.2fx  (hw threads: %u)\n",
-              lanes_speedup, hw_threads);
-  if (!serial.ok || !laned.ok ||
-      serial.fingerprint != laned.fingerprint) {
-    std::printf("FAIL: --lanes=%zu result diverges from serial "
-                "(fingerprint %016llx vs %016llx)\n",
-                kAbLanes,
-                static_cast<unsigned long long>(laned.fingerprint),
-                static_cast<unsigned long long>(serial.fingerprint));
-    return 1;
+  // Tracing A/B: the hierarchical experiment serial and with the span
+  // tracer AND the flight recorder armed, in pairs whose order
+  // alternates so drift in machine speed hits both arms alike.
+  std::vector<double> serial_rates;
+  std::vector<double> traced_rates;
+  std::vector<double> overheads;
+  bool identical = true;
+  std::uint64_t serial_fp = 0;
+  std::uint64_t traced_fp = 0;
+  for (std::size_t pair = 0; pair < tracing_pairs; ++pair) {
+    sds::telemetry::SpanTracer tracer;
+    sds::telemetry::FlightRecorder flight;
+    HierRun serial;
+    HierRun traced;
+    if (pair % 2 == 0) {
+      serial = sim_hier_run(sim_duration);
+      traced = sim_hier_run(sim_duration, &tracer, &flight);
+    } else {
+      traced = sim_hier_run(sim_duration, &tracer, &flight);
+      serial = sim_hier_run(sim_duration);
+    }
+    identical = identical && serial.ok && traced.ok &&
+                serial.fingerprint == traced.fingerprint &&
+                (pair == 0 || serial.fingerprint == serial_fp);
+    serial_fp = serial.fingerprint;
+    traced_fp = traced.fingerprint;
+    serial_rates.push_back(serial.cycles_per_sec);
+    traced_rates.push_back(traced.cycles_per_sec);
+    overheads.push_back(serial.cycles_per_sec > 0
+                            ? (1.0 - traced.cycles_per_sec /
+                                         serial.cycles_per_sec) *
+                                  100.0
+                            : 0);
+  }
+  const double serial_median = median(serial_rates);
+  const double traced_median = median(traced_rates);
+  const double overhead_median = median(overheads);
+  std::printf("sim.hier.cycles_per_sec       %12.2f  (median of %zu)\n",
+              serial_median, tracing_pairs);
+  std::printf("sim.tracing.cycles_per_sec    %12.2f  (median of %zu)\n",
+              traced_median, tracing_pairs);
+  std::printf("sim.tracing.overhead_pct      %12.2f  (median of %zu pairs)\n",
+              overhead_median, tracing_pairs);
+
+  // Regression guard: the wheel engine must clearly beat the legacy
+  // global-heap engine. On the 1-vCPU CI container the measured ratio
+  // is ~2x (1.6-2.3x run to run): the per-event floor both engines
+  // share — closure construction plus cold capture reads at invoke —
+  // bounds the achievable ratio well below the engine-op speedup.
+  // Failing below 1.4x still trips on genuine regressions (e.g.
+  // reintroducing a per-event allocation or a global heap).
+  Gate engine_gate("engine_speedup");
+  if (quick) {
+    engine_gate.detail = "quick mode; gated in full runs only";
+  } else {
+    engine_gate.ran = true;
+    engine_gate.pass = speedup >= 1.4;
+    engine_gate.detail = format("%.2fx vs >= %.2fx", speedup, 1.4);
+  }
+  // Tracing only reads the virtual clock, so traced runs must reproduce
+  // the serial results bit for bit, in every mode.
+  Gate identity_gate("tracing_identity");
+  identity_gate.ran = true;
+  identity_gate.pass = identical;
+  {
+    char buf[96];
+    std::snprintf(buf, sizeof buf, "fingerprint %016llx vs %016llx",
+                  static_cast<unsigned long long>(traced_fp),
+                  static_cast<unsigned long long>(serial_fp));
+    identity_gate.detail = buf;
+  }
+  // Always-on tracing must stay cheap: span emission is a handful of
+  // hash derivations plus two ring writes per cycle.
+  Gate overhead_gate("tracing_overhead");
+  if (quick) {
+    overhead_gate.detail = "quick mode runs one pair; the gate needs 7";
+  } else {
+    overhead_gate.ran = true;
+    overhead_gate.pass = overhead_median <= 5.0;
+    overhead_gate.detail =
+        format("median %.2f%% vs <= %.2f%%", overhead_median, 5.0);
+  }
+  const Gate* gates[] = {&engine_gate, &identity_gate, &overhead_gate};
+  bool all_pass = true;
+  for (const Gate* gate : gates) {
+    gate->report();
+    all_pass = all_pass && gate->pass;
   }
 
-  // Tracing A/B: the same serial experiment with the span tracer AND the
-  // flight recorder armed. Two gates: the simulated results must be
-  // bit-identical (tracing only reads the virtual clock), and the
-  // throughput cost of always-on tracing must stay within 5%.
-  sds::telemetry::SpanTracer ab_tracer;
-  sds::telemetry::FlightRecorder ab_flight;
-  const LanesAb traced =
-      sim_cycles_with_lanes(sim_duration, 1, &ab_tracer, &ab_flight);
-  const double tracing_overhead_pct_raw =
-      serial.cycles_per_sec > 0
-          ? (1.0 - traced.cycles_per_sec / serial.cycles_per_sec) * 100.0
-          : 0;
-  // Run-to-run jitter on the shared CI box swings the raw figure a few
-  // percent either way — a traced run can measure *faster* than serial
-  // (raw as low as -4.6% observed). Clamp the reported overhead at the
-  // zero noise floor so the <= 5% gate below judges real cost, not a
-  // lucky negative sample masking a regression of equal size.
-  const double tracing_overhead_pct =
-      tracing_overhead_pct_raw > 0 ? tracing_overhead_pct_raw : 0.0;
-  std::printf("sim.tracing.cycles_per_sec    %12.2f\n",
-              traced.cycles_per_sec);
-  std::printf("sim.tracing.overhead_pct      %12.2f  (raw %.2f)\n",
-              tracing_overhead_pct, tracing_overhead_pct_raw);
-  if (!traced.ok || traced.fingerprint != serial.fingerprint) {
-    std::printf("FAIL: tracing changes simulated results "
-                "(fingerprint %016llx vs %016llx)\n",
-                static_cast<unsigned long long>(traced.fingerprint),
-                static_cast<unsigned long long>(serial.fingerprint));
-    return 1;
+  std::string pair_list;
+  for (std::size_t i = 0; i < overheads.size(); ++i) {
+    char buf[32];
+    std::snprintf(buf, sizeof buf, "%s%.3f", i == 0 ? "" : ", ", overheads[i]);
+    pair_list += buf;
   }
-
   std::string path = "BENCH_cycle.json";
   if (const char* dir = std::getenv("SDSCALE_BENCH_OUT")) {
     path = std::string(dir) + "/BENCH_cycle.json";
@@ -447,6 +538,7 @@ int main(int argc, char** argv) {
                  "{\n"
                  "  \"bench\": \"perf_cycle\",\n"
                  "  \"mode\": \"%s\",\n"
+                 "  \"hw_threads\": %u,\n"
                  "  \"engine\": {\n"
                  "    \"events_per_sec\": %.0f,\n"
                  "    \"legacy_events_per_sec\": %.0f,\n"
@@ -461,63 +553,30 @@ int main(int argc, char** argv) {
                  "  \"sim\": {\n"
                  "    \"num_stages\": 500,\n"
                  "    \"cycles_per_sec\": %.3f,\n"
-                 "    \"lanes\": {\n"
-                 "      \"serial_cycles_per_sec\": %.3f,\n"
-                 "      \"lanes4_cycles_per_sec\": %.3f,\n"
-                 "      \"speedup\": %.3f,\n"
-                 "      \"hw_threads\": %u\n"
+                 "    \"hier\": {\n"
+                 "      \"num_aggregators\": 4,\n"
+                 "      \"cycles_per_sec\": %.3f\n"
                  "    },\n"
                  "    \"tracing\": {\n"
+                 "      \"pairs\": %zu,\n"
                  "      \"cycles_per_sec\": %.3f,\n"
                  "      \"overhead_pct\": %.3f,\n"
-                 "      \"overhead_pct_raw\": %.3f\n"
+                 "      \"overhead_pct_per_pair\": [%s]\n"
                  "    }\n"
+                 "  },\n"
+                 "  \"gates\": {\n"
+                 "    \"engine_speedup\": %s,\n"
+                 "    \"tracing_identity\": %s,\n"
+                 "    \"tracing_overhead\": %s\n"
                  "  }\n"
                  "}\n",
-                 quick ? "quick" : "full", wheel, legacy, speedup, enc, dec,
-                 denc, ddec, cycles, serial.cycles_per_sec,
-                 laned.cycles_per_sec, lanes_speedup, hw_threads,
-                 traced.cycles_per_sec, tracing_overhead_pct,
-                 tracing_overhead_pct_raw);
+                 quick ? "quick" : "full", hw_threads, wheel, legacy, speedup,
+                 enc, dec, denc, ddec, cycles, serial_median, tracing_pairs,
+                 traced_median, overhead_median, pair_list.c_str(),
+                 engine_gate.json().c_str(), identity_gate.json().c_str(),
+                 overhead_gate.json().c_str());
     std::fclose(f);
     std::printf("wrote %s\n", path.c_str());
   }
-  // Regression guard: the wheel engine must clearly beat the legacy
-  // global-heap engine. On the 1-vCPU CI container the measured ratio
-  // is ~2x (1.6-2.3x run to run): the per-event floor both engines
-  // share — closure construction plus cold capture reads at invoke —
-  // bounds the achievable ratio well below the engine-op speedup.
-  // Failing below 1.4x still trips on genuine regressions (e.g.
-  // reintroducing a per-event allocation or a global heap).
-  if (!quick && speedup < 1.4) {
-    std::printf("FAIL: speedup %.2fx below the 1.4x regression bar\n",
-                speedup);
-    return 1;
-  }
-  // Lanes gate, conditional on real concurrency: with >= 4 hardware
-  // threads the lane team must actually pay off; on narrower boxes (the
-  // 1-vCPU CI container) lanes run inline, so only guard against the
-  // round/merge machinery costing more than a quarter of throughput.
-  if (!quick) {
-    if (hw_threads >= 4 && lanes_speedup < 1.25) {
-      std::printf("FAIL: lanes speedup %.2fx below the 1.25x bar "
-                  "(%u hw threads)\n",
-                  lanes_speedup, hw_threads);
-      return 1;
-    }
-    if (hw_threads < 4 && lanes_speedup < 0.70) {
-      std::printf("FAIL: inline lanes overhead too high: %.2fx of serial "
-                  "(%u hw threads)\n",
-                  lanes_speedup, hw_threads);
-      return 1;
-    }
-    // Always-on tracing must stay cheap: span emission is a handful of
-    // hash derivations plus two ring writes per cycle.
-    if (tracing_overhead_pct > 5.0) {
-      std::printf("FAIL: tracing overhead %.2f%% above the 5%% bar\n",
-                  tracing_overhead_pct);
-      return 1;
-    }
-  }
-  return 0;
+  return all_pass ? 0 : 1;
 }

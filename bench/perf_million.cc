@@ -258,7 +258,6 @@ SimRow sim_row(std::size_t stages, std::size_t aggregators,
   config.delta_collect = true;
   config.delta_refresh = 64;
   config.psfa_full_recompute = full_recompute;
-  config.lanes = 1;
   const auto start = std::chrono::steady_clock::now();
   const auto result = sds::sim::run_experiment(config);
   if (!result.is_ok()) {

@@ -38,7 +38,6 @@ void sweep_row(bench::Sweep& sweep, const std::string& label,
 }  // namespace
 
 int main(int argc, char** argv) {
-  bench::print_lanes_note(bench::sim_lanes(argc, argv));
   bench::print_title(
       "Projection — Table I systems under flat / hierarchical control");
   bench::Telemetry telemetry("projection_top500", argc, argv);

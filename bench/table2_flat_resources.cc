@@ -10,7 +10,6 @@
 using namespace sds;
 
 int main(int argc, char** argv) {
-  bench::print_lanes_note(bench::sim_lanes(argc, argv));
   bench::print_title(
       "Table II — flat design: global-controller resource utilization");
   bench::print_resource_header();

@@ -12,7 +12,6 @@
 using namespace sds;
 
 int main(int argc, char** argv) {
-  bench::print_lanes_note(bench::sim_lanes(argc, argv));
   bench::print_title(
       "Table III — hierarchical design (10,000 nodes): resource utilization");
   bench::print_resource_header();

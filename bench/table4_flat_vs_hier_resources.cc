@@ -11,7 +11,6 @@
 using namespace sds;
 
 int main(int argc, char** argv) {
-  bench::print_lanes_note(bench::sim_lanes(argc, argv));
   bench::print_title(
       "Table IV — flat vs hierarchical (1 aggregator) at 2,500 nodes");
   bench::print_resource_header();

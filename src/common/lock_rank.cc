@@ -21,7 +21,6 @@ const char* to_string(LockRank rank) {
     case LockRank::kMonitor: return "kMonitor";
     case LockRank::kQueue: return "kQueue";
     case LockRank::kThreadPool: return "kThreadPool";
-    case LockRank::kSimLaneTeam: return "kSimLaneTeam";
     case LockRank::kWaitGroup: return "kWaitGroup";
     case LockRank::kTelemetryReporter: return "kTelemetryReporter";
     case LockRank::kTelemetryRegistry: return "kTelemetryRegistry";

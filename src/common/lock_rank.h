@@ -34,7 +34,6 @@
 //   kMonitor              monitor::ResourceMonitor collect window
 //   kQueue                common::Queue<T> (bounded MPMC)
 //   kThreadPool           ThreadPool worker queues + sleep mutex
-//   kSimLaneTeam          sim lane-runner barrier coordination
 //   kWaitGroup            common::WaitGroup counter
 //   kTelemetryReporter    TelemetryReporter lifecycle flags
 //   kTelemetryRegistry    MetricsRegistry instrument index
@@ -68,7 +67,6 @@ enum class LockRank : std::uint16_t {
   kMonitor = 90,
   kQueue = 100,
   kThreadPool = 110,
-  kSimLaneTeam = 120,
   kWaitGroup = 130,
   kTelemetryReporter = 140,
   kTelemetryRegistry = 150,

@@ -75,8 +75,7 @@ class ThreadPool {
   void parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn);
 
   /// True when the calling thread is a worker of *any* ThreadPool.
-  /// Nested fork/join layers (e.g. the sim lane runner invoked from a
-  /// bench --jobs worker) use this to fall back to inline execution
+  /// Nested fork/join layers use this to fall back to inline execution
   /// rather than stacking thread teams on the same cores.
   [[nodiscard]] static bool in_worker();
 

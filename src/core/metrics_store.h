@@ -24,11 +24,10 @@
 // Dirty tracking is per stage: a slot whose compute view moved joins the
 // dirty list exactly once per drain. `drain_dirty` returns indices
 // sorted ascending so downstream consumers (incremental demand re-sums,
-// FP-order-sensitive) are deterministic regardless of arrival order —
-// the property the lane-sharded simulator relies on.
+// FP-order-sensitive) are deterministic regardless of arrival order.
 //
 // Not thread-safe; callers serialize (the live global server holds its
-// own mutex, the simulator is single-threaded per lane).
+// own mutex, the simulator is single-threaded).
 #pragma once
 
 #include <cstdint>

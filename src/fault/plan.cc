@@ -13,7 +13,7 @@ namespace {
 
 /// Deterministic uniform [0,1) draw from a key tuple: SplitMix64 over the
 /// mixed key. Pure — the same (seed, kind, cycle, entity) always yields
-/// the same value regardless of draw order, lane count, or thread timing.
+/// the same value regardless of draw order or thread timing.
 double hash01(std::uint64_t seed, std::uint64_t kind, std::uint64_t cycle,
               std::uint64_t entity) {
   SplitMix64 sm(seed ^ (kind * 0x9E3779B97F4A7C15ULL) ^
@@ -284,8 +284,7 @@ CompiledPlan CompiledPlan::compile(const FaultPlan& plan,
   }
 
   // Churn expansion: one split RNG stream per entity, derived from
-  // (seed, tier, id) — independent of lane count and of every other
-  // entity's stream.
+  // (seed, tier, id) — independent of every other entity's stream.
   if (plan.stage_mtbf_s > 0) {
     for (std::size_t i = 0; i < num_stages; ++i) {
       Rng rng(SplitMix64(plan.seed ^ (0xA11CE5ULL + i)).next());

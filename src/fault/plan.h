@@ -10,7 +10,7 @@
 // the simulator asks only pure, state-free questions of it —
 // "is stage i up at time t?", "what happens to the collect reply of
 // (cycle c, stage i)?" — which makes fault injection independent of
-// event-execution interleavings: `--lanes=N` stays bit-identical.
+// event-execution interleavings.
 //
 // Determinism contract (enforced by tools/sdslint on this directory):
 // nothing in src/fault reads a wall clock or an unseeded random source.
@@ -163,8 +163,7 @@ struct DownInterval {
 
 /// The plan expanded against a concrete topology: per-entity sorted
 /// outage timelines plus the pure message-fate function. Immutable after
-/// compile(); every query is const, state-free and O(log intervals), so
-/// it may be consulted concurrently from any simulation lane.
+/// compile(); every query is const, state-free and O(log intervals).
 class CompiledPlan {
  public:
   static constexpr Nanos kNever{std::numeric_limits<std::int64_t>::max()};

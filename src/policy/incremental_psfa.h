@@ -19,8 +19,8 @@
 // alternates data- and metadata-dimension calls with different budgets,
 // which would thrash a single slot). Replacement is round-robin.
 //
-// Not thread-safe: callers serialize (the simulator is single-threaded
-// per lane; the live global server computes under its own mutex).
+// Not thread-safe: callers serialize (the simulator is single-threaded;
+// the live global server computes under its own mutex).
 #pragma once
 
 #include <cstdint>

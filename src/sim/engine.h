@@ -34,7 +34,6 @@
 #include <bit>
 #include <cstdint>
 #include <deque>
-#include <limits>
 #include <utility>
 #include <vector>
 
@@ -50,18 +49,6 @@ class Engine {
   /// A (time, closure) pair for schedule_batch bursts.
   struct TimedEvent {
     Nanos at;
-    EventFn fn;
-  };
-
-  /// A cross-lane event captured by the lane outbox (parallel mode; see
-  /// sim/parallel.h). `src_seq` is a per-source-engine counter so the
-  /// lane runner can merge outboxes deterministically by
-  /// (at, source lane, src_seq) — the same 24-byte POD ordering idea as
-  /// Key, extended with the source lane as the middle tie-break.
-  struct CrossEvent {
-    Nanos at;
-    std::uint32_t dest_lane;
-    std::uint64_t src_seq;
     EventFn fn;
   };
 
@@ -96,89 +83,16 @@ class Engine {
     batch.clear();
   }
 
-  // Lane hooks — used only by sim::LaneRunner (sim/parallel.h). A serial
-  // engine never calls configure_lane, so capture_cross_ stays false and
-  // schedule_cross degenerates to schedule_at with zero overhead beyond
-  // one predictable branch.
-
-  /// Mark this engine as lane `lane` of a parallel run. When
-  /// `capture_cross` is set, schedule_cross calls addressed to another
-  /// lane are diverted to the outbox instead of the local queue.
-  /// `lookahead` is the lane runner's conservative lookahead L: once this
-  /// lane emits a cross-lane message with delivery time d, the earliest
-  /// causal echo another lane can mail back arrives at d + L, so
-  /// run_before self-caps at min(outbox deliveries) + L. Without the cap
-  /// a lane whose peers are idle gets an unbounded window and can run
-  /// past the replies its own in-round sends will provoke.
-  void configure_lane(std::uint32_t lane, bool capture_cross,
-                      Nanos lookahead = Nanos{0}) {
-    lane_ = lane;
-    capture_cross_ = capture_cross;
-    echo_lookahead_ = lookahead;
-  }
-
-  [[nodiscard]] std::uint32_t lane() const { return lane_; }
-
-  /// Schedule `fn` at absolute time `at` on lane `dest_lane`. Same-lane
-  /// (or serial-mode) destinations take the ordinary local path;
-  /// cross-lane destinations are buffered in the outbox for the lane
-  /// runner to deliver at the next synchronization horizon. Cross-lane
-  /// timestamps must respect the runner's lookahead: at >= now + L.
-  template <typename F>
-  void schedule_cross(std::uint32_t dest_lane, Nanos at, F&& fn) {
-    if (!capture_cross_ || dest_lane == lane_) {
-      schedule_at(at, std::forward<F>(fn));
-      return;
-    }
-    outbox_.push_back(
-        CrossEvent{at, dest_lane, cross_seq_++, EventFn(std::forward<F>(fn))});
-    outbox_min_at_ = std::min(outbox_min_at_, at);
-  }
-
-  [[nodiscard]] bool outbox_empty() const { return outbox_.empty(); }
-
-  /// The buffered cross-lane events, in creation order (src_seq order).
-  /// The lane runner moves these out between rounds via take_outbox.
-  [[nodiscard]] std::vector<CrossEvent>& outbox() { return outbox_; }
-
-  /// Reset the outbox (and its echo watermark) after the lane runner has
-  /// moved the events out. Capacity is retained for reuse.
-  void clear_outbox() {
-    outbox_.clear();
-    outbox_min_at_ = kNoEcho;
-  }
-
-  /// Report the timestamp of the next runnable event without executing
-  /// it. Returns false when the queue is empty. (May migrate keys
-  /// between internal containers, hence non-const.)
-  [[nodiscard]] bool peek_next(Nanos& at) {
-    if (!prepare_next()) return false;
-    at = next_key().at;
-    return true;
-  }
-
-  /// Execute events with timestamps strictly earlier than `bound`, and —
-  /// in lane mode — strictly earlier than the echo horizon of this
-  /// window's own cross-lane sends (earliest buffered delivery + L):
-  /// replies those sends provoke can arrive from that instant on, and
-  /// they are only merged in at the next round boundary. Unlike
-  /// run_until, the clock is left at the last executed event — the lane
-  /// runner owns the notion of global progress, and a lane must not
-  /// advance its clock past events other lanes may still mail it.
+  /// Execute events with timestamps strictly earlier than `bound`.
+  /// Unlike run_until, the clock is left at the last executed event: the
+  /// experiment driver samples at fixed instants between events without
+  /// moving the clock, and its coordinated-peer join reads the clock as
+  /// the instant the cycle's last event ran.
   void run_before(Nanos bound) {
-    while (prepare_next()) {
-      Nanos limit = bound;
-      if (outbox_min_at_ != kNoEcho) {
-        limit = std::min(limit, outbox_min_at_ + echo_lookahead_);
-      }
-      if (next_key().at >= limit) break;
-      step();
-    }
+    while (prepare_next() && next_key().at < bound) step();
   }
 
-  /// Advance the clock to `t` without executing anything. The lane
-  /// runner uses this to line a quiet lane's clock up with global
-  /// progress before seeding it with new work.
+  /// Advance the clock to `t` without executing anything; never rewinds.
   void advance_to(Nanos t) {
     if (now_ < t) now_ = t;
   }
@@ -417,17 +331,6 @@ class Engine {
   std::uint64_t next_seq_ = 0;
   std::uint64_t executed_ = 0;
   std::size_t pending_ = 0;
-
-  /// Echo-watermark sentinel: "no cross-lane sends buffered".
-  static constexpr Nanos kNoEcho{std::numeric_limits<std::int64_t>::max()};
-
-  // Lane state (parallel mode; inert for serial engines).
-  std::uint32_t lane_ = 0;
-  bool capture_cross_ = false;
-  std::uint64_t cross_seq_ = 0;
-  std::vector<CrossEvent> outbox_;
-  Nanos outbox_min_at_{kNoEcho};
-  Nanos echo_lookahead_{0};
 
   /// Closure cells; deque for address stability (executing closures and
   /// slab growth never relocate a pending cell).

@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <cassert>
 #include <cstdint>
-#include <cstdlib>
 #include <functional>
+#include <limits>
 #include <memory>
 #include <string>
 #include <unordered_map>
@@ -19,7 +19,6 @@
 #include "policy/incremental_psfa.h"
 #include "sim/engine.h"
 #include "sim/host.h"
-#include "sim/parallel.h"
 
 namespace sds::sim {
 
@@ -34,60 +33,23 @@ Nanos scaled(Nanos per_item, std::size_t count) {
   return Nanos{per_item.count() * static_cast<std::int64_t>(count)};
 }
 
-/// Lanes actually worth running: capped by the topology's independent
-/// units (each unit's subtree is lane-local, so more lanes than units
-/// would stay empty) and forced to 1 when the profile offers no
-/// positive lookahead (cross-lane safety needs wire latency > 0).
-std::size_t effective_lanes(const ExperimentConfig& cfg) {
-  const std::size_t requested = std::max<std::size_t>(1, cfg.lanes);
-  if (cfg.profile.wire_latency <= Nanos{0}) return 1;
-  std::size_t units = cfg.num_stages;
-  if (cfg.coordinated_peers > 0) {
-    units = cfg.coordinated_peers;
-  } else if (cfg.num_aggregators > 0) {
-    units = cfg.num_aggregators;
-  }
-  return std::min(requested, std::max<std::size_t>(1, units));
-}
-
-LaneRunner::Options lane_options(const ExperimentConfig& cfg) {
-  LaneRunner::Options options;
-  options.lanes = effective_lanes(cfg);
-  options.lookahead = cfg.profile.wire_latency;
-  options.seed = cfg.seed;
-  options.metrics = cfg.metrics;
-  options.tracer = cfg.tracer;
-  if (cfg.metrics != nullptr) {
-    options.labels = {{"component", "sim"}};
-    if (!cfg.telemetry_label.empty()) {
-      options.labels.emplace_back("configuration", cfg.telemetry_label);
-    }
-  }
-  return options;
-}
+/// Simulated-time spacing of the utilization samples (see
+/// ExperimentResult::mean_data_utilization).
+constexpr Nanos kUtilizationSampleInterval = millis(50);
 
 /// One simulated run. Event closures capture `this` and plain indices;
 /// all vectors are sized before the first event fires.
 ///
-/// Lane discipline (see sim/parallel.h): every controller and stage is
-/// pinned to one lane, all of its state is touched only by events on
-/// that lane, and every controller-to-controller hop names its
-/// destination lane (send_to / broadcast_to / schedule_cross). State
-/// owned by the global controller (lane 0) is additionally read or
-/// written by coordinator-context code — barrier events and the idle
-/// callback — which the runner only invokes while every lane is
-/// quiescent. Cross-cycle aggregates that used to accumulate in arrival
-/// order (peer summaries, aggregator reports, passthrough batches) are
-/// id-indexed instead, so the values a controller computes are a pure
-/// function of the simulation, independent of lane count.
+/// Cross-cycle aggregates (peer summaries, aggregator reports,
+/// passthrough batches) are id-indexed rather than accumulated in
+/// arrival order, so their floating-point summation order is fixed by
+/// the topology and the recorded outputs stay bit-identical.
 class Run {
  public:
   explicit Run(const ExperimentConfig& config)
       : cfg_(config),
         prof_(config.profile),
-        lanes_(lane_options(config)),
-        eng0_(lanes_.lane(0)),
-        global_host_(eng0_, prof_, "global"),
+        global_host_(eng_, prof_, "global"),
         global_(core::GlobalOptions{config.budgets,
                                     policy::SplitStrategy::kProportional,
                                     /*epoch=*/1},
@@ -230,7 +192,6 @@ class Run {
       fault_ = std::make_unique<fault::CompiledPlan>(fault::CompiledPlan::compile(
           *cfg_.fault_plan, cfg_.num_stages, cfg_.num_aggregators,
           cfg_.duration * 2));
-      lane_faults_.assign(lanes_.lanes(), 0);
       last_fresh_at_.assign(cfg_.num_stages, Nanos{-1});
     }
     // The store path keeps the legacy batch pipeline for the modes that
@@ -241,10 +202,8 @@ class Run {
                      (flat() || (cfg_.preaggregate && !cfg_.local_decisions));
     delta_collect_ = cfg_.delta_collect && store_collect_;
     build_topology();
-    lanes_.set_idle_callback([this] { return on_lanes_idle(); });
-    schedule_utilization_sampler();
     start_cycle();
-    lanes_.run();
+    run_events();
     return finalize();
   }
 
@@ -261,10 +220,7 @@ class Run {
     return (cfg_.num_stages + cfg_.stages_per_job - 1) / cfg_.stages_per_job;
   }
 
-  [[nodiscard]] Engine& eng(std::uint32_t lane) { return lanes_.lane(lane); }
-
   void build_topology() {
-    const std::size_t L = lanes_.lanes();
     Rng rng(cfg_.seed);
     stages_.reserve(cfg_.num_stages);
     for (std::size_t i = 0; i < cfg_.num_stages; ++i) {
@@ -290,7 +246,6 @@ class Run {
       }
       stages_.emplace_back(info, std::move(data), std::move(meta));
     }
-    stage_lane_.assign(cfg_.num_stages, 0);
 
     if (coordinated()) {
       const std::size_t n = cfg_.num_stages;
@@ -300,14 +255,12 @@ class Run {
         auto peer = std::make_unique<Peer>();
         peer->core = std::make_unique<core::CoordinatedControllerCore>(
             ControllerId{static_cast<std::uint32_t>(p)}, cfg_.budgets);
-        peer->lane = static_cast<std::uint32_t>(p * L / k);
-        peer->host = std::make_unique<SimHost>(eng(peer->lane), prof_,
+        peer->host = std::make_unique<SimHost>(eng_, prof_,
                                                "peer" + std::to_string(p));
         const std::size_t begin = p * n / k;
         const std::size_t end = (p + 1) * n / k;
         for (std::size_t i = begin; i < end; ++i) {
           peer->stage_indices.push_back(i);
-          stage_lane_[i] = peer->lane;
         }
         peers_.push_back(std::move(peer));
       }
@@ -325,14 +278,12 @@ class Run {
                                     cfg_.preaggregate,
                                     /*include_digests=*/true,
                                     cfg_.activity_threshold});
-        agg->lane = static_cast<std::uint32_t>(a * L / a_count);
-        agg->host = std::make_unique<SimHost>(eng(agg->lane), prof_,
+        agg->host = std::make_unique<SimHost>(eng_, prof_,
                                               "agg" + std::to_string(a));
         const std::size_t begin = a * n / a_count;
         const std::size_t end = (a + 1) * n / a_count;
         for (std::size_t i = begin; i < end; ++i) {
           agg->stage_indices.push_back(i);
-          stage_lane_[i] = agg->lane;
         }
         aggs_.push_back(std::move(agg));
       }
@@ -342,9 +293,8 @@ class Run {
         supers_.reserve(s_count);
         for (std::size_t s = 0; s < s_count; ++s) {
           auto super = std::make_unique<Super>();
-          super->lane = static_cast<std::uint32_t>(s * L / s_count);
           super->host = std::make_unique<SimHost>(
-              eng(super->lane), prof_, "super" + std::to_string(s));
+              eng_, prof_, "super" + std::to_string(s));
           const std::size_t begin = s * a_count / s_count;
           const std::size_t end = (s + 1) * a_count / s_count;
           for (std::size_t a = begin; a < end; ++a) {
@@ -354,10 +304,6 @@ class Run {
           }
           supers_.push_back(std::move(super));
         }
-      }
-    } else {
-      for (std::size_t i = 0; i < cfg_.num_stages; ++i) {
-        stage_lane_[i] = static_cast<std::uint32_t>(i * L / cfg_.num_stages);
       }
     }
 
@@ -402,10 +348,6 @@ class Run {
         }
       }
     }
-    lane_collect_bytes_.assign(L, 0);
-    lane_collect_bytes_full_.assign(L, 0);
-    lane_frames_full_.assign(L, 0);
-    lane_frames_delta_.assign(L, 0);
     if (delta_collect_) {
       last_report_.assign(cfg_.num_stages, {});
       has_report_.assign(cfg_.num_stages, 0);
@@ -427,7 +369,7 @@ class Run {
 
   /// Non-CPU synchronization wait at a phase boundary.
   void after_sync(Engine::EventFn fn) {
-    eng0_.schedule_in(prof_.phase_sync_overhead, std::move(fn));
+    eng_.schedule_in(prof_.phase_sync_overhead, std::move(fn));
   }
 
   /// Wire size of one enforce message carrying `rules` rules (the real
@@ -440,7 +382,7 @@ class Run {
     if (done_) return;
     const proto::CollectRequest req = global_.begin_cycle();
     cycle_ = global_.current_cycle();
-    cycle_start_ = eng0_.now();
+    cycle_start_ = eng_.now();
     agg_close_max_ = Nanos{-1};
     rule_apply_max_ = Nanos{-1};
     collect_req_size_ = frame_size(req);
@@ -458,10 +400,10 @@ class Run {
     });
   }
 
-  /// Coordinator-context hook (lanes quiescent): joins finished
-  /// coordinated cycles and launches deferred cycle starts. Returns
-  /// true iff it advanced the simulation.
-  bool on_lanes_idle() {
+  /// Runs whenever the event queue drains: joins finished coordinated
+  /// cycles and launches deferred cycle starts. Returns true iff it
+  /// scheduled new work.
+  bool on_queue_drained() {
     if (!coordinated()) return false;
     if (cycle_in_flight_) {
       finish_cycle_coordinated();
@@ -469,7 +411,7 @@ class Run {
     }
     if (next_cycle_pending_ && !done_) {
       next_cycle_pending_ = false;
-      eng0_.advance_to(next_cycle_at_);
+      eng_.advance_to(next_cycle_at_);
       start_cycle();
       return true;
     }
@@ -482,9 +424,8 @@ class Run {
   // are taken as the time the LAST peer passes each stage — collect ends
   // when every peer holds all K summaries, compute when every peer has
   // computed, enforce when the last ack lands. Each peer records its own
-  // lane-local completion instants; no single lane observes the whole
-  // cycle, so the coordinator joins them from the runner's idle hook
-  // once every lane has drained.
+  // completion instants, and on_queue_drained() joins them once the
+  // cycle's last event has run.
 
   void start_cycle_coordinated() {
     for (auto& peer : peers_) {
@@ -497,13 +438,10 @@ class Run {
       peer->compute_done_at = Nanos{0};
       peer->enforce_done_at = Nanos{0};
     }
-    // Runs only with every lane quiescent (initial start or the idle
-    // hook), so seeding peer engines directly is safe. All peers leave
-    // the synchronization wait at the same instant, as before.
-    const Nanos at = eng0_.now() + prof_.phase_sync_overhead;
+    // All peers leave the synchronization wait at the same instant.
+    const Nanos at = eng_.now() + prof_.phase_sync_overhead;
     for (std::size_t p = 0; p < peers_.size(); ++p) {
-      eng(peers_[p]->lane).schedule_at(at,
-                                       [this, p] { peer_collect_fanout(p); });
+      eng_.schedule_at(at, [this, p] { peer_collect_fanout(p); });
     }
   }
 
@@ -512,18 +450,17 @@ class Run {
     peers_[p]->host->broadcast(indices.size(), collect_req_size_, [&](std::size_t i) {
       const std::size_t idx = indices[i];
       return [this, p, idx] {
-        Engine& eng_local = eng(peers_[p]->lane);
-        const proto::StageMetrics m = stages_[idx].collect(cycle_, eng_local.now());
+        const proto::StageMetrics m = stages_[idx].collect(cycle_, eng_.now());
         const std::size_t sz = frame_size(m);
-        eng_local.schedule_in(prof_.stage_service + prof_.wire_latency,
-                              [this, p, m, sz] {
-                                peers_[p]->host->receive(sz, [this, p, m] {
-                                  peers_[p]->collected.push_back(m);
-                                  if (--peers_[p]->pending_metrics == 0) {
-                                    peer_broadcast_summary(p);
-                                  }
-                                });
-                              });
+        eng_.schedule_in(prof_.stage_service + prof_.wire_latency,
+                         [this, p, m, sz] {
+                           peers_[p]->host->receive(sz, [this, p, m] {
+                             peers_[p]->collected.push_back(m);
+                             if (--peers_[p]->pending_metrics == 0) {
+                               peer_broadcast_summary(p);
+                             }
+                           });
+                         });
       };
     });
   }
@@ -537,19 +474,14 @@ class Run {
     const std::size_t sz = frame_size(summary);
     peer.host->run(cost, [this, p, summary, sz] {
       peer_accept_summary(p, p, summary);  // own summary, no wire
-      peers_[p]->host->broadcast_to(
-          peers_.size() - 1, sz,
-          [&](std::size_t i) {
+      peers_[p]->host->broadcast(
+          peers_.size() - 1, sz, [&](std::size_t i) {
             const std::size_t q = i < p ? i : i + 1;  // skip self
             return [this, q, p, sz, summary] {
               peers_[q]->host->receive(sz, [this, q, p, summary] {
                 peer_accept_summary(q, p, summary);
               });
             };
-          },
-          [this, p](std::size_t i) {
-            const std::size_t q = i < p ? i : i + 1;
-            return peers_[q]->lane;
           });
     });
   }
@@ -559,7 +491,7 @@ class Run {
     Peer& peer = *peers_[p];
     peer.summaries[src] = summary;
     if (++peer.summaries_received < peers_.size()) return;
-    peer.exchange_done_at = eng(peer.lane).now();
+    peer.exchange_done_at = eng_.now();
     peer_compute(p);
   }
 
@@ -574,7 +506,7 @@ class Run {
                        scaled(prof_.cpu_split_per_stage,
                               peer.stage_indices.size());
     peer.host->run(cost, [this, p, rules] {
-      peers_[p]->compute_done_at = eng(peers_[p]->lane).now();
+      peers_[p]->compute_done_at = eng_.now();
       peer_enforce(p, *rules);
     });
   }
@@ -594,22 +526,19 @@ class Run {
       peer.host->send(
           sz,
           [this, p, rule] {
-            apply_rule_and_ack(rule, peers_[p]->host.get(), peers_[p]->lane,
-                               [this, p](Nanos) {
-                                 if (--peers_[p]->pending_acks == 0) {
-                                   peer_enforce_done(p);
-                                 }
-                               });
+            apply_rule_and_ack(rule, peers_[p]->host.get(), [this, p](Nanos) {
+              if (--peers_[p]->pending_acks == 0) peer_enforce_done(p);
+            });
           },
           prof_.cpu_route_per_rule);
     }
   }
 
   void peer_enforce_done(std::size_t p) {
-    peers_[p]->enforce_done_at = eng(peers_[p]->lane).now();
+    peers_[p]->enforce_done_at = eng_.now();
   }
 
-  /// Joins a finished coordinated cycle from coordinator context: the
+  /// Joins a finished coordinated cycle once the queue drains: the
   /// phase boundaries are the maxima of the per-peer completion
   /// instants, exactly the "last peer past each stage" definition.
   void finish_cycle_coordinated() {
@@ -623,20 +552,19 @@ class Run {
     }
     collect_end_ = exchange;
     compute_end_ = compute;
-    eng0_.advance_to(enforce);
+    eng_.advance_to(enforce);
     finish_cycle();
   }
 
   // -- Fault-injection helpers -------------------------------------------
   //
   // Callable only when fault_ is set (except stage_latency, which is the
-  // healthy constant otherwise). Injection counters are per-lane — each
-  // slot is touched only by events on its lane, summed at finalize().
+  // healthy constant otherwise). Each injection bumps faults_injected_.
 
   /// Stage can emit/accept messages at `t` (up and not partitioned).
   [[nodiscard]] bool stage_reachable(std::size_t i, Nanos t) {
     if (fault_->stage_up(i, t) && !fault_->partitioned(i, t)) return true;
-    ++lane_faults_[stage_lane_[i]];
+    ++faults_injected_;
     return false;
   }
 
@@ -649,7 +577,7 @@ class Run {
       if (mult > 1.0) {
         service = Nanos{static_cast<std::int64_t>(
             static_cast<double>(service.count()) * mult)};
-        ++lane_faults_[stage_lane_[i]];
+        ++faults_injected_;
       }
     }
     return service + prof_.wire_latency;
@@ -659,20 +587,19 @@ class Run {
   /// `entity` this cycle. Returns false when the message is dropped;
   /// otherwise adjusts `latency` (delay fate) and `copies` (duplicate
   /// fate — the extra copy pays receive cost but is discarded by the
-  /// receiver's seen-guard). Counts injections on `lane`.
+  /// receiver's seen-guard).
   [[nodiscard]] bool reply_fate(fault::MessageKind kind, std::uint64_t entity,
-                                std::uint32_t lane, Nanos& latency,
-                                std::size_t& copies) {
+                                Nanos& latency, std::size_t& copies) {
     switch (fault_->message_fate(kind, cycle_, entity)) {
       case fault::MessageFate::kDrop:
-        ++lane_faults_[lane];
+        ++faults_injected_;
         return false;
       case fault::MessageFate::kDuplicate:
-        ++lane_faults_[lane];
+        ++faults_injected_;
         copies = 2;
         return true;
       case fault::MessageFate::kDelay:
-        ++lane_faults_[lane];
+        ++faults_injected_;
         latency = latency + fault_->delay();
         return true;
       case fault::MessageFate::kDeliver:
@@ -683,8 +610,7 @@ class Run {
 
   /// Recovery accounting on a fresh (first-this-cycle) collect reply from
   /// stage `i` at `t`: if the stage restarted since its last fresh reply,
-  /// the restart-to-now gap is one recovery sample. `last_fresh_at_[i]`
-  /// is touched only on the lane that owns stage i's replies.
+  /// the restart-to-now gap is one recovery sample.
   void note_fresh_reply(std::size_t i, Nanos t, std::vector<Nanos>& sink) {
     const Nanos restart = fault_->last_stage_restart_before(i, t);
     if (restart.count() >= 0 && last_fresh_at_[i] < restart) {
@@ -704,23 +630,20 @@ class Run {
       collect_open_ = true;
       collect_extensions_ = 0;
       collect_seen_.assign(cfg_.num_stages, 0);
-      eng0_.schedule_in(fault_->phase_timeout(), [this, c = cycle_] {
+      eng_.schedule_in(fault_->phase_timeout(), [this, c = cycle_] {
         on_flat_collect_deadline(c);
       });
     }
-    global_host_.broadcast_to(
-        cfg_.num_stages, collect_req_size_,
-        [this](std::size_t i) {
-          return [this, i] { on_stage_collect_flat(i); };
-        },
-        [this](std::size_t i) { return stage_lane_[i]; });
+    global_host_.broadcast(cfg_.num_stages, collect_req_size_,
+                           [this](std::size_t i) {
+                             return [this, i] { on_stage_collect_flat(i); };
+                           });
   }
 
   /// Frame a stage report for the wire: under delta_collect a stage
   /// that already reported sends the compact delta against its previous
   /// report, refreshed with a full frame every `delta_refresh` cycles
-  /// (staggered by stage index). Runs on the stage's lane; the per-stage
-  /// previous-report slots are owned by that lane.
+  /// (staggered by stage index).
   struct CollectFrame {
     proto::StageMetricsDelta delta;
     std::size_t wire = 0;       ///< modeled frame bytes (delta or full)
@@ -745,12 +668,11 @@ class Run {
   }
 
   void on_stage_collect_flat(std::size_t i) {
-    Engine& eng_local = eng(stage_lane_[i]);
-    if (fault_ != nullptr && !stage_reachable(i, eng_local.now())) return;
-    const proto::StageMetrics m = stages_[i].collect(cycle_, eng_local.now());
+    if (fault_ != nullptr && !stage_reachable(i, eng_.now())) return;
+    const proto::StageMetrics m = stages_[i].collect(cycle_, eng_.now());
     const CollectFrame fr = frame_report(i, m);
     const std::size_t sz = fr.wire;
-    Nanos latency = stage_latency(i, eng_local.now());
+    Nanos latency = stage_latency(i, eng_.now());
     if (cfg_.tracer != nullptr && i == 0) {
       // Representative per-stage span (stage 0 only — one per cycle, not
       // one per stage) so flat traces also show a second component.
@@ -759,7 +681,7 @@ class Run {
       span.category = "component";
       span.track = 1;
       span.cycle = cycle_;
-      span.start = eng_local.now();
+      span.start = eng_.now();
       span.duration = latency;
       span.trace_id = cycle_;
       span.span_id = telemetry::derive_span_id(cycle_, 1, span.name);
@@ -769,15 +691,13 @@ class Run {
     }
     std::size_t copies = 1;
     if (fault_ != nullptr &&
-        !reply_fate(fault::MessageKind::kCollectReply, i, stage_lane_[i],
-                    latency, copies)) {
+        !reply_fate(fault::MessageKind::kCollectReply, i, latency, copies)) {
       return;
     }
     for (std::size_t copy = 0; copy < copies; ++copy) {
       const bool first = copy == 0;
-      eng_local.schedule_cross(
-          0, eng_local.now() + latency,
-          [this, i, m, fr, sz, first, c = cycle_] {
+      eng_.schedule_in(
+          latency, [this, i, m, fr, sz, first, c = cycle_] {
             global_host_.receive(sz, [this, i, m, fr, first, c] {
               if (fault_ != nullptr &&
                   (!first || !collect_open_ || c != cycle_ ||
@@ -786,9 +706,9 @@ class Run {
               }
               if (fault_ != nullptr) {
                 collect_seen_[i] = 1;
-                note_fresh_reply(i, eng0_.now(), cycle_recoveries_);
+                note_fresh_reply(i, eng_.now(), cycle_recoveries_);
               }
-              account_collect_frame(0, fr);
+              account_collect_frame(fr);
               if (store_collect_) {
                 if (fr.is_delta) {
                   const core::DeltaStatus status = store_.apply_delta(
@@ -807,16 +727,14 @@ class Run {
     }
   }
 
-  /// Wire accounting for one accepted collect report, on the receiving
-  /// controller's lane (each slot is touched only by its lane's events;
-  /// finalize() sums them with the lanes quiescent).
-  void account_collect_frame(std::uint32_t lane, const CollectFrame& fr) {
-    lane_collect_bytes_[lane] += fr.wire;
-    lane_collect_bytes_full_[lane] += fr.wire_full;
+  /// Wire accounting for one accepted collect report.
+  void account_collect_frame(const CollectFrame& fr) {
+    collect_wire_bytes_ += fr.wire;
+    collect_wire_bytes_full_ += fr.wire_full;
     if (fr.is_delta) {
-      ++lane_frames_delta_[lane];
+      ++collect_frames_delta_;
     } else {
-      ++lane_frames_full_[lane];
+      ++collect_frames_full_;
     }
   }
 
@@ -825,8 +743,8 @@ class Run {
     const std::size_t received = cfg_.num_stages - flat_pending_;
     if (received < fault_->quorum_count(cfg_.num_stages) &&
         collect_extensions_++ < fault_->max_deadline_extensions()) {
-      eng0_.schedule_in(fault_->phase_timeout(),
-                        [this, c] { on_flat_collect_deadline(c); });
+      eng_.schedule_in(fault_->phase_timeout(),
+                       [this, c] { on_flat_collect_deadline(c); });
       return;
     }
     close_collect_flat(flat_pending_ > 0);
@@ -840,7 +758,7 @@ class Run {
         cycle_stale_ += flat_pending_;
       }
     }
-    collect_end_ = eng0_.now();
+    collect_end_ = eng_.now();
     compute_flat();
   }
 
@@ -873,7 +791,7 @@ class Run {
                        scaled(prof_.cpu_split_per_stage, cfg_.num_stages);
     after_sync([this, cost] {
       global_host_.run(cost, [this] {
-        compute_end_ = eng0_.now();
+        compute_end_ = eng_.now();
         after_sync([this] { enforce_flat(); });
       });
     });
@@ -889,7 +807,7 @@ class Run {
       enforce_open_ = true;
       enforce_extensions_ = 0;
       enforce_expected_ = global_acks_pending_;
-      eng0_.schedule_in(fault_->phase_timeout(), [this, c = cycle_] {
+      eng_.schedule_in(fault_->phase_timeout(), [this, c = cycle_] {
         on_enforce_deadline(c);
       });
     }
@@ -898,10 +816,10 @@ class Run {
       single.cycle_id = cycle_;
       single.rules.push_back(rule);
       const std::size_t sz = enforce_frame_size(single);
-      global_host_.send_to(
-          stage_lane_[rule.stage_id.value()], sz,
+      global_host_.send(
+          sz,
           [this, rule, c = cycle_] {
-            apply_rule_and_ack(rule, &global_host_, 0, [this, c](Nanos at) {
+            apply_rule_and_ack(rule, &global_host_, [this, c](Nanos at) {
               on_global_direct_ack(c, at);
             });
           },
@@ -923,8 +841,8 @@ class Run {
     const std::size_t acked = enforce_expected_ - global_acks_pending_;
     if (acked < fault_->quorum_count(enforce_expected_) &&
         enforce_extensions_++ < fault_->max_deadline_extensions()) {
-      eng0_.schedule_in(fault_->phase_timeout(),
-                        [this, c] { on_enforce_deadline(c); });
+      eng_.schedule_in(fault_->phase_timeout(),
+                       [this, c] { on_enforce_deadline(c); });
       return;
     }
     enforce_open_ = false;
@@ -933,40 +851,35 @@ class Run {
   }
 
   /// At the stage: apply `rule` (real logic), then send the ack back to
-  /// `receiver` (on `receiver_lane`) which runs `done` — passing the
-  /// virtual instant the stage applied the rule, for `disseminate`
-  /// attribution — after its receive cost. Executes on the stage's
-  /// lane. Under a fault plan a down/partitioned stage neither applies
+  /// `receiver` which runs `done` — passing the virtual instant the
+  /// stage applied the rule, for `disseminate` attribution — after its
+  /// receive cost. Under a fault plan a down/partitioned stage neither applies
   /// nor acks, and the ack is subject to the kEnforceAck message fate —
   /// silent stages surface as missing acks and the phase deadline
   /// closes the cycle degraded.
   void apply_rule_and_ack(const proto::Rule& rule, SimHost* receiver,
-                          std::uint32_t receiver_lane,
                           std::function<void(Nanos)> done) {
     const std::size_t idx = rule.stage_id.value();
     assert(idx < stages_.size());
-    Engine& eng_local = eng(stage_lane_[idx]);
-    if (fault_ != nullptr && !stage_reachable(idx, eng_local.now())) return;
+    if (fault_ != nullptr && !stage_reachable(idx, eng_.now())) return;
     stages_[idx].apply(rule);
-    const Nanos applied_at = eng_local.now();
+    const Nanos applied_at = eng_.now();
     proto::EnforceAck ack;
     ack.cycle_id = cycle_;
     ack.applied = 1;
     const std::size_t sz = frame_size(ack);
-    Nanos latency = stage_latency(idx, eng_local.now());
+    Nanos latency = stage_latency(idx, eng_.now());
     std::size_t copies = 1;
     if (fault_ != nullptr &&
-        !reply_fate(fault::MessageKind::kEnforceAck, idx, stage_lane_[idx],
-                    latency, copies)) {
+        !reply_fate(fault::MessageKind::kEnforceAck, idx, latency, copies)) {
       return;
     }
     auto shared_done =
         std::make_shared<std::function<void(Nanos)>>(std::move(done));
     for (std::size_t copy = 0; copy < copies; ++copy) {
       const bool first = copy == 0;
-      eng_local.schedule_cross(
-          receiver_lane, eng_local.now() + latency,
-          [this, receiver, sz, first, applied_at, shared_done] {
+      eng_.schedule_in(
+          latency, [receiver, sz, first, applied_at, shared_done] {
             receiver->receive(sz, [first, applied_at, shared_done] {
               // The duplicate copy pays receive cost but is deduplicated.
               if (first) (*shared_done)(applied_at);
@@ -994,15 +907,13 @@ class Run {
         super->acks_applied = 0;
         super->pending_acks = 0;
       }
-      global_host_.broadcast_to(
-          supers_.size(), collect_req_size_,
-          [this](std::size_t s) {
+      global_host_.broadcast(
+          supers_.size(), collect_req_size_, [this](std::size_t s) {
             return [this, s] {
               supers_[s]->host->receive(collect_req_size_,
                                         [this, s] { super_collect_fanout(s); });
             };
-          },
-          [this](std::size_t s) { return supers_[s]->lane; });
+          });
       return;
     }
     agg_reports_.assign(aggs_.size(), {});
@@ -1012,19 +923,17 @@ class Run {
       report_open_ = true;
       report_extensions_ = 0;
       report_seen_.assign(aggs_.size(), 0);
-      eng0_.schedule_in(fault_->phase_timeout(),
-                        [this, c = cycle_] { on_report_deadline(c); });
+      eng_.schedule_in(fault_->phase_timeout(),
+                       [this, c = cycle_] { on_report_deadline(c); });
     }
     if (cfg_.parallel_fanout) {
-      global_host_.broadcast_to(
-          aggs_.size(), collect_req_size_,
-          [this](std::size_t a) {
+      global_host_.broadcast(
+          aggs_.size(), collect_req_size_, [this](std::size_t a) {
             return [this, a] {
               aggs_[a]->host->receive(collect_req_size_,
                                       [this, a] { agg_collect_fanout(a); });
             };
-          },
-          [this](std::size_t a) { return aggs_[a]->lane; });
+          });
     } else {
       send_collect_to_agg(0);
     }
@@ -1034,16 +943,14 @@ class Run {
 
   void super_collect_fanout(std::size_t s) {
     const std::vector<std::size_t>& children = supers_[s]->children;
-    supers_[s]->host->broadcast_to(
-        children.size(), collect_req_size_,
-        [&](std::size_t i) {
+    supers_[s]->host->broadcast(
+        children.size(), collect_req_size_, [&](std::size_t i) {
           const std::size_t a = children[i];
           return [this, a] {
             aggs_[a]->host->receive(collect_req_size_,
                                     [this, a] { agg_collect_fanout(a); });
           };
-        },
-        [&](std::size_t i) { return aggs_[children[i]]->lane; });
+        });
   }
 
   void super_accept_report(std::size_t s, std::size_t pos,
@@ -1088,12 +995,12 @@ class Run {
     const std::size_t sz = frame_size(merged);
     const Nanos close_max = super.child_close_max;
     super.host->run(cost, [this, s, merged, sz, close_max] {
-      supers_[s]->host->send_to(0, sz, [this, s, merged, sz, close_max] {
+      supers_[s]->host->send(sz, [this, s, merged, sz, close_max] {
         global_host_.receive(sz, [this, s, merged, close_max] {
           agg_close_max_ = std::max(agg_close_max_, close_max);
           agg_reports_[s] = merged;
           if (--reports_pending_ == 0) {
-            collect_end_ = eng0_.now();
+            collect_end_ = eng_.now();
             compute_hier();
           }
         });
@@ -1102,7 +1009,7 @@ class Run {
   }
 
   void send_collect_to_agg(std::size_t a) {
-    global_host_.send_to(aggs_[a]->lane, collect_req_size_, [this, a] {
+    global_host_.send(collect_req_size_, [this, a] {
       aggs_[a]->host->receive(collect_req_size_,
                               [this, a] { agg_collect_fanout(a); });
     });
@@ -1111,23 +1018,22 @@ class Run {
   void agg_collect_fanout(std::size_t a) {
     if (fault_ != nullptr) {
       Agg& agg = *aggs_[a];
-      Engine& eng_a = eng(agg.lane);
-      if (!fault_->aggregator_up(a, eng_a.now())) {
+      if (!fault_->aggregator_up(a, eng_.now())) {
         // Crashed aggregator: the whole subtree stays silent this cycle;
         // the global report deadline counts its stages stale.
-        ++lane_faults_[agg.lane];
+        ++faults_injected_;
         return;
       }
-      // Per-agg fault state lives on the agg's lane — initialized here
-      // (not at the global fan-out) so stragglers from the previous
-      // cycle are ordered against it in lane-local virtual time.
+      // Per-agg fault state is initialized when the request reaches the
+      // aggregator (not at the global fan-out), so stragglers from the
+      // previous cycle are ordered against it in virtual time.
       agg.fault_seen.assign(agg.stage_indices.size(), 0);
       agg.collect_open = true;
       agg.collect_extensions = 0;
       agg.fault_cycle = cycle_;
       agg.stale = 0;
       agg.recoveries.clear();
-      eng_a.schedule_in(fault_->phase_timeout(), [this, a, c = cycle_] {
+      eng_.schedule_in(fault_->phase_timeout(), [this, a, c = cycle_] {
         on_agg_collect_deadline(a, c);
       });
     }
@@ -1135,23 +1041,22 @@ class Run {
     aggs_[a]->host->broadcast(indices.size(), collect_req_size_, [&](std::size_t i) {
       const std::size_t idx = indices[i];
       return [this, a, i, idx] {
-        Engine& eng_local = eng(aggs_[a]->lane);
-        if (fault_ != nullptr && !stage_reachable(idx, eng_local.now())) {
+        if (fault_ != nullptr && !stage_reachable(idx, eng_.now())) {
           return;
         }
-        const proto::StageMetrics m = stages_[idx].collect(cycle_, eng_local.now());
+        const proto::StageMetrics m = stages_[idx].collect(cycle_, eng_.now());
         const CollectFrame fr = frame_report(idx, m);
         const std::size_t sz = fr.wire;
-        Nanos latency = stage_latency(idx, eng_local.now());
+        Nanos latency = stage_latency(idx, eng_.now());
         std::size_t copies = 1;
         if (fault_ != nullptr &&
-            !reply_fate(fault::MessageKind::kCollectReply, idx,
-                        aggs_[a]->lane, latency, copies)) {
+            !reply_fate(fault::MessageKind::kCollectReply, idx, latency,
+                        copies)) {
           return;
         }
         for (std::size_t copy = 0; copy < copies; ++copy) {
           const bool first = copy == 0;
-          eng_local.schedule_in(
+          eng_.schedule_in(
               latency, [this, a, i, idx, m, fr, sz, first, c = cycle_] {
                 aggs_[a]->host->receive(sz, [this, a, i, idx, m, fr, first, c] {
                   Agg& agg = *aggs_[a];
@@ -1161,9 +1066,9 @@ class Run {
                       return;  // duplicate or post-deadline straggler
                     }
                     agg.fault_seen[i] = 1;
-                    note_fresh_reply(idx, eng(agg.lane).now(), agg.recoveries);
+                    note_fresh_reply(idx, eng_.now(), agg.recoveries);
                   }
-                  account_collect_frame(agg.lane, fr);
+                  account_collect_frame(fr);
                   if (store_collect_) {
                     // Slot index == position in stage_indices (bind order).
                     if (fr.is_delta) {
@@ -1196,7 +1101,7 @@ class Run {
     const std::size_t received = expected - agg.pending_metrics;
     if (received < fault_->quorum_count(expected) &&
         agg.collect_extensions++ < fault_->max_deadline_extensions()) {
-      eng(agg.lane).schedule_in(fault_->phase_timeout(), [this, a, c] {
+      eng_.schedule_in(fault_->phase_timeout(), [this, a, c] {
         on_agg_collect_deadline(a, c);
       });
       return;
@@ -1216,10 +1121,10 @@ class Run {
   void agg_report(std::size_t a) {
     Agg& agg = *aggs_[a];
     const std::size_t n_a = agg.stage_indices.size();
-    // Local sub-collect close instant (agg lane); crosses to lane 0 by
-    // value with the report, where the max over aggregators bounds the
+    // Local sub-collect close instant; travels with the report to the
+    // global controller, where the max over aggregators bounds the
     // `aggregate` sub-segment.
-    const Nanos local_close = eng(agg.lane).now();
+    const Nanos local_close = eng_.now();
     if (cfg_.tracer != nullptr) {
       telemetry::Span span;
       span.name = "agg.collect";
@@ -1236,16 +1141,14 @@ class Run {
     }
     if (cfg_.preaggregate) {
       // Store path: incremental slot-ordered summary (only dirty jobs
-      // re-summed); legacy path: full arrival-ordered merge. Copied into
-      // the report closure either way — it crosses to lane 0 by value.
+      // re-summed); legacy path: full arrival-ordered merge.
       const proto::AggregatedMetrics report =
           store_collect_ ? agg.core->aggregate_from_store(cycle_)
                          : agg.core->aggregate(cycle_, agg.collected);
       const Nanos cost = scaled(prof_.cpu_agg_merge_per_stage, n_a);
       const std::size_t sz = frame_size(report);
       const int parent = agg.parent;
-      // Degraded-subtree accounting crosses to lane 0 by value inside
-      // the report closure, like the report itself.
+      // Degraded-subtree accounting travels with the report.
       const std::size_t stale = fault_ != nullptr ? agg.stale : 0;
       std::vector<Nanos> recovered;
       if (fault_ != nullptr) recovered.swap(agg.recoveries);
@@ -1255,35 +1158,31 @@ class Run {
           // Three-level tree: report to the parent super-aggregator.
           const auto s = static_cast<std::size_t>(parent);
           const std::size_t pos = aggs_[a]->child_pos;
-          aggs_[a]->host->send_to(
-              supers_[s]->lane, sz, [this, s, pos, report, sz, local_close] {
-                supers_[s]->host->receive(
-                    sz, [this, s, pos, report, local_close] {
-                      super_accept_report(s, pos, report, local_close);
-                    });
-              });
+          aggs_[a]->host->send(sz, [this, s, pos, report, sz, local_close] {
+            supers_[s]->host->receive(sz, [this, s, pos, report, local_close] {
+              super_accept_report(s, pos, report, local_close);
+            });
+          });
           return;
         }
         Nanos extra{0};
         std::size_t copies = 1;
         if (fault_ != nullptr) {
-          Engine& eng_a = eng(aggs_[a]->lane);
-          if (!fault_->aggregator_up(a, eng_a.now())) {
+          if (!fault_->aggregator_up(a, eng_.now())) {
             // Aggregator died after collecting: report lost; the global
             // report deadline counts the subtree stale.
-            ++lane_faults_[aggs_[a]->lane];
+            ++faults_injected_;
             return;
           }
-          if (!reply_fate(fault::MessageKind::kAggregatorReport, a,
-                          aggs_[a]->lane, extra, copies)) {
+          if (!reply_fate(fault::MessageKind::kAggregatorReport, a, extra,
+                          copies)) {
             return;
           }
         }
         for (std::size_t copy = 0; copy < copies; ++copy) {
           const bool first = copy == 0;
-          aggs_[a]->host->send_to(0, sz, [this, a, report, sz, stale,
-                                          recovered, extra, first,
-                                          local_close, c = cycle_] {
+          aggs_[a]->host->send(sz, [this, a, report, sz, stale, recovered,
+                                    extra, first, local_close, c = cycle_] {
             auto deliver = [this, a, report, stale, recovered, first,
                             local_close, c] {
               if (fault_ != nullptr) {
@@ -1302,10 +1201,9 @@ class Run {
               on_agg_report_received(a);
             };
             if (extra > Nanos{0}) {
-              eng0_.schedule_in(extra,
-                                [this, sz, deliver = std::move(deliver)] {
-                                  global_host_.receive(sz, std::move(deliver));
-                                });
+              eng_.schedule_in(extra, [this, sz, deliver = std::move(deliver)] {
+                global_host_.receive(sz, std::move(deliver));
+              });
             } else {
               global_host_.receive(sz, std::move(deliver));
             }
@@ -1317,7 +1215,7 @@ class Run {
       const Nanos cost = scaled(prof_.cpu_relay_per_stage, n_a);
       const std::size_t sz = frame_size(batch);
       agg.host->run(cost, [this, a, batch, sz, local_close] {
-        aggs_[a]->host->send_to(0, sz, [this, a, batch, sz, local_close] {
+        aggs_[a]->host->send(sz, [this, a, batch, sz, local_close] {
           global_host_.receive(sz, [this, a, batch, local_close] {
             agg_close_max_ = std::max(agg_close_max_, local_close);
             passthrough_batches_[a] = batch.entries;
@@ -1344,8 +1242,8 @@ class Run {
     const std::size_t received = aggs_.size() - reports_pending_;
     if (received < fault_->quorum_count(aggs_.size()) &&
         report_extensions_++ < fault_->max_deadline_extensions()) {
-      eng0_.schedule_in(fault_->phase_timeout(),
-                        [this, c] { on_report_deadline(c); });
+      eng_.schedule_in(fault_->phase_timeout(),
+                       [this, c] { on_report_deadline(c); });
       return;
     }
     close_reports(reports_pending_ > 0);
@@ -1363,7 +1261,7 @@ class Run {
         }
       }
     }
-    collect_end_ = eng0_.now();
+    collect_end_ = eng_.now();
     compute_hier();
   }
 
@@ -1391,7 +1289,7 @@ class Run {
     }
     after_sync([this, cost] {
       global_host_.run(cost, [this] {
-        compute_end_ = eng0_.now();
+        compute_end_ = eng_.now();
         after_sync([this] { enforce_hier(); });
       });
     });
@@ -1426,7 +1324,7 @@ class Run {
           total_meta > 0 ? cfg_.budgets.meta_iops * agg_meta / total_meta
                          : cfg_.budgets.meta_iops / static_cast<double>(aggs_.size());
       lease.valid_until_ns =
-          static_cast<std::uint64_t>((eng0_.now() + seconds(10)).count());
+          static_cast<std::uint64_t>((eng_.now() + seconds(10)).count());
       leases_[a] = lease;
     }
   }
@@ -1465,8 +1363,8 @@ class Run {
         const std::size_t sz = enforce_frame_size(combined);
         const Nanos routing =
             scaled(prof_.cpu_route_per_rule, combined.rules.size());
-        global_host_.send_to(
-            supers_[s]->lane, sz,
+        global_host_.send(
+            sz,
             [this, s, sz] {
               supers_[s]->host->receive(sz,
                                         [this, s] { super_enforce_fanout(s); });
@@ -1482,7 +1380,7 @@ class Run {
       enforce_extensions_ = 0;
       enforce_expected_ = aggs_.size();
       ack_seen_.assign(aggs_.size(), 0);
-      eng0_.schedule_in(fault_->phase_timeout(), [this, c = cycle_] {
+      eng_.schedule_in(fault_->phase_timeout(), [this, c = cycle_] {
         on_enforce_deadline(c);
       });
     }
@@ -1502,8 +1400,8 @@ class Run {
       const proto::EnforceBatch& batch = enforce_batches_[a];
       const std::size_t sz = enforce_frame_size(batch);
       const Nanos routing = scaled(prof_.cpu_route_per_rule, batch.rules.size());
-      super.host->send_to(
-          aggs_[a]->lane, sz,
+      super.host->send(
+          sz,
           [this, a, sz] {
             aggs_[a]->host->receive(sz, [this, a] { agg_enforce_fanout(a); });
           },
@@ -1522,7 +1420,7 @@ class Run {
     merged.applied = super.acks_applied;
     const std::size_t sz = frame_size(merged);
     const Nanos apply_max = super.rule_applied_max;
-    super.host->send_to(0, sz, [this, sz, apply_max] {
+    super.host->send(sz, [this, sz, apply_max] {
       global_host_.receive(sz, [this, apply_max] {
         rule_apply_max_ = std::max(rule_apply_max_, apply_max);
         if (--global_acks_pending_ == 0) finish_cycle();
@@ -1534,14 +1432,13 @@ class Run {
     const proto::EnforceBatch& batch = enforce_batches_[a];
     const std::size_t sz = enforce_frame_size(batch);
     const Nanos routing = scaled(prof_.cpu_route_per_rule, batch.rules.size());
-    global_host_.send_to(
-        aggs_[a]->lane, sz,
+    global_host_.send(
+        sz,
         [this, a, sz] {
-          if (fault_ != nullptr &&
-              !fault_->aggregator_up(a, eng(aggs_[a]->lane).now())) {
+          if (fault_ != nullptr && !fault_->aggregator_up(a, eng_.now())) {
             // Crashed aggregator: its subtree's rules are lost; the
             // global ack deadline closes the cycle degraded.
-            ++lane_faults_[aggs_[a]->lane];
+            ++faults_injected_;
             return;
           }
           aggs_[a]->host->receive(sz, [this, a] { agg_enforce_fanout(a); });
@@ -1564,7 +1461,7 @@ class Run {
       agg.enforce_open = true;
       agg.enforce_extensions = 0;
       agg.fault_cycle = cycle_;
-      eng(agg.lane).schedule_in(fault_->phase_timeout(), [this, a, c = cycle_] {
+      eng_.schedule_in(fault_->phase_timeout(), [this, a, c = cycle_] {
         on_agg_enforce_deadline(a, c);
       });
     }
@@ -1579,7 +1476,7 @@ class Run {
     const std::size_t acked = agg.enforce_expected - agg.pending_acks;
     if (acked < fault_->quorum_count(agg.enforce_expected) &&
         agg.enforce_extensions++ < fault_->max_deadline_extensions()) {
-      eng(agg.lane).schedule_in(fault_->phase_timeout(), [this, a, c] {
+      eng_.schedule_in(fault_->phase_timeout(), [this, a, c] {
         on_agg_enforce_deadline(a, c);
       });
       return;
@@ -1596,29 +1493,28 @@ class Run {
     aggs_[a]->host->send(
         sz,
         [this, a, rule, c = cycle_] {
-          apply_rule_and_ack(rule, aggs_[a]->host.get(), aggs_[a]->lane,
-                             [this, a, c](Nanos applied_at) {
-                               Agg& agg = *aggs_[a];
-                               if (fault_ != nullptr &&
-                                   (!agg.enforce_open ||
-                                    agg.fault_cycle != c)) {
-                                 return;  // ack after the deadline closed
-                               }
-                               agg.rule_applied_max =
-                                   std::max(agg.rule_applied_max, applied_at);
-                               ++agg.acks_applied;
-                               if (--agg.pending_acks == 0) {
-                                 agg.enforce_open = false;
-                                 agg_merged_ack(a);
-                               }
-                             });
+          apply_rule_and_ack(
+              rule, aggs_[a]->host.get(), [this, a, c](Nanos applied_at) {
+                Agg& agg = *aggs_[a];
+                if (fault_ != nullptr &&
+                    (!agg.enforce_open || agg.fault_cycle != c)) {
+                  return;  // ack after the deadline closed
+                }
+                agg.rule_applied_max =
+                    std::max(agg.rule_applied_max, applied_at);
+                ++agg.acks_applied;
+                if (--agg.pending_acks == 0) {
+                  agg.enforce_open = false;
+                  agg_merged_ack(a);
+                }
+              });
         },
         prof_.cpu_route_per_rule);
   }
 
   void send_lease_to_agg(std::size_t a) {
     const std::size_t sz = frame_size(leases_[a]);
-    global_host_.send_to(aggs_[a]->lane, sz, [this, a, sz] {
+    global_host_.send(sz, [this, a, sz] {
       aggs_[a]->host->receive(sz, [this, a] { agg_local_decide(a); });
     });
   }
@@ -1628,7 +1524,7 @@ class Run {
     agg.core->set_lease(leases_[a]);
     const auto rules = agg.core->local_compute(
         cycle_, agg.collected,
-        static_cast<std::uint64_t>(eng(agg.lane).now().count()));
+        static_cast<std::uint64_t>(eng_.now().count()));
     const std::size_t n_a = agg.stage_indices.size();
     const Nanos cost =
         scaled(prof_.cpu_psfa_per_job, std::max<std::size_t>(1, num_jobs() / aggs_.size())) +
@@ -1656,12 +1552,11 @@ class Run {
       const auto s = static_cast<std::size_t>(agg.parent);
       const std::uint32_t applied = merged.applied;
       const Nanos applied_max = agg.rule_applied_max;
-      agg.host->send_to(
-          supers_[s]->lane, sz, [this, s, sz, applied, applied_max] {
-            supers_[s]->host->receive(sz, [this, s, applied, applied_max] {
-              super_accept_ack(s, applied, applied_max);
-            });
-          });
+      agg.host->send(sz, [this, s, sz, applied, applied_max] {
+        supers_[s]->host->receive(sz, [this, s, applied, applied_max] {
+          super_accept_ack(s, applied, applied_max);
+        });
+      });
       return;
     }
     Nanos extra{0};
@@ -1670,21 +1565,19 @@ class Run {
     if (fault_ != nullptr) {
       short_acked =
           agg.enforce_expected > 0 && agg.acks_applied < agg.enforce_expected;
-      Engine& eng_a = eng(agg.lane);
-      if (!fault_->aggregator_up(a, eng_a.now())) {
-        ++lane_faults_[agg.lane];
+      if (!fault_->aggregator_up(a, eng_.now())) {
+        ++faults_injected_;
         return;  // merged ack lost; the global ack deadline closes
       }
-      if (!reply_fate(fault::MessageKind::kAggregatorAck, a, agg.lane, extra,
-                      copies)) {
+      if (!reply_fate(fault::MessageKind::kAggregatorAck, a, extra, copies)) {
         return;
       }
     }
     const Nanos applied_max = agg.rule_applied_max;
     for (std::size_t copy = 0; copy < copies; ++copy) {
       const bool first = copy == 0;
-      agg.host->send_to(0, sz, [this, a, sz, extra, first, short_acked,
-                                applied_max, c = cycle_] {
+      agg.host->send(sz, [this, a, sz, extra, first, short_acked, applied_max,
+                          c = cycle_] {
         auto deliver = [this, a, first, short_acked, applied_max, c] {
           if (fault_ != nullptr) {
             if (!first || !enforce_open_ || c != cycle_ ||
@@ -1712,7 +1605,7 @@ class Run {
           }
         };
         if (extra > Nanos{0}) {
-          eng0_.schedule_in(extra, [this, sz, deliver = std::move(deliver)] {
+          eng_.schedule_in(extra, [this, sz, deliver = std::move(deliver)] {
             global_host_.receive(sz, std::move(deliver));
           });
         } else {
@@ -1728,7 +1621,7 @@ class Run {
     core::PhaseBreakdown breakdown;
     breakdown.collect = collect_end_ - cycle_start_;
     breakdown.compute = compute_end_ - collect_end_;
-    breakdown.enforce = eng0_.now() - compute_end_;
+    breakdown.enforce = eng_.now() - compute_end_;
     // Attributed sub-segments (see CycleStats): `aggregate` is the tail
     // of collect after the last aggregator closed its local sub-collect,
     // `disseminate` the head of enforce until the last stage applied a
@@ -1756,26 +1649,26 @@ class Run {
       report_open_ = false;
       enforce_open_ = false;
     }
-    last_cycle_end_ = eng0_.now();
+    last_cycle_end_ = eng_.now();
     trace_cycle(breakdown);
     cycle_in_flight_ = false;
 
     const bool hit_cycle_cap =
         cfg_.max_cycles != 0 && stats_.cycles() >= cfg_.max_cycles;
-    if (hit_cycle_cap || eng0_.now() >= cfg_.duration) {
+    if (hit_cycle_cap || eng_.now() >= cfg_.duration) {
       done_ = true;
       return;
     }
     if (cfg_.cycle_period > Nanos{0}) {
       const Nanos next = cycle_start_ + cfg_.cycle_period;
-      if (next > eng0_.now()) {
+      if (next > eng_.now()) {
         if (coordinated()) {
-          // Deferred: the idle hook starts the cycle from coordinator
-          // context (start_cycle_coordinated seeds every peer engine).
+          // Deferred: on_queue_drained() starts it once this cycle's
+          // last events have run, as it joins the cycle.
           next_cycle_pending_ = true;
           next_cycle_at_ = next;
         } else {
-          eng0_.schedule_at(next, [this] { start_cycle(); });
+          eng_.schedule_at(next, [this] { start_cycle(); });
         }
         return;
       }
@@ -1786,8 +1679,7 @@ class Run {
   /// One span per phase plus an enclosing cycle span, in virtual time on
   /// the global controller's track. Phase boundaries are exactly the
   /// instants CycleStats measured, so the trace and the histograms agree.
-  /// Span ids derive from (cycle, track, name) — stable under any lane
-  /// count — and nest causally: cycle → {collect → aggregate, compute,
+  /// Span ids derive from (cycle, track, name) and nest causally: cycle → {collect → aggregate, compute,
   /// enforce → disseminate}. The same spans land in the flight recorder
   /// ring when one is attached.
   void trace_cycle(const core::PhaseBreakdown& breakdown) {
@@ -1817,7 +1709,7 @@ class Run {
     };
     telemetry::Span cycle_span =
         make("cycle", telemetry::SpanPhase::kNone, 0, cycle_start_,
-             eng0_.now() - cycle_start_);
+             eng_.now() - cycle_start_);
     cycle_span.detail = "stages=" + std::to_string(cfg_.num_stages);
     emit(std::move(cycle_span));
     emit(make("collect", telemetry::SpanPhase::kCollect, root_id, cycle_start_,
@@ -1832,25 +1724,35 @@ class Run {
               breakdown.enforce));
   }
 
-  /// Sample the PFS load factor on a fixed simulated-time grid,
-  /// independent of cycle boundaries (sampling only at enforcement
-  /// instants would alias: limits are freshest exactly then). The
-  /// sampler is a barrier event — it reads every stage with all lanes
-  /// quiesced at the sample instant, in every mode including one lane,
-  /// so the observation schedule is lane-count-invariant.
-  void schedule_utilization_sampler() {
-    if (cfg_.utilization_sample_interval <= Nanos{0}) return;
-    lanes_.schedule_barrier_in(cfg_.utilization_sample_interval, [this] {
-      if (done_) return;
-      sample_utilization();
-      schedule_utilization_sampler();
-    });
+  /// Run events until the simulation ends, sampling the PFS load factor
+  /// on a fixed simulated-time grid, independent of cycle boundaries
+  /// (sampling only at enforcement instants would alias: limits are
+  /// freshest exactly then). A sample at instant t runs before any event
+  /// at or after t. run_before leaves the clock at the last executed
+  /// event, which the coordinated join reads; when the queue drains,
+  /// that join runs before any pending sample. Sampling stops at the
+  /// first sample instant reached after the run is done.
+  void run_events() {
+    constexpr Nanos kNever{std::numeric_limits<std::int64_t>::max()};
+    Nanos next_sample = kUtilizationSampleInterval;
+    bool sampling = true;
+    for (;;) {
+      eng_.run_before(sampling ? next_sample : kNever);
+      if (eng_.empty() && on_queue_drained()) continue;
+      if (!sampling) break;
+      // Nothing left to run before next_sample.
+      if (done_) {
+        sampling = false;
+        continue;
+      }
+      sample_utilization(next_sample);
+      next_sample += kUtilizationSampleInterval;
+    }
   }
 
-  /// PFS load factor: what each stage would submit now (its demand
+  /// PFS load factor at `now`: what each stage would submit (its demand
   /// clipped by its enforced limit), summed, relative to the budget.
-  void sample_utilization() {
-    const Nanos now = lanes_.barrier_now();
+  void sample_utilization(Nanos now) {
     double data = 0;
     double meta = 0;
     for (const auto& stage : stages_) {
@@ -1874,33 +1776,29 @@ class Run {
     result.stats = stats_;
     result.cycles = stats_.cycles();
     result.elapsed = last_cycle_end_;
-    result.events_executed = lanes_.total_executed();
+    result.events_executed = eng_.executed();
     if (events_gauge_ != nullptr) {
-      events_gauge_->set(static_cast<double>(lanes_.total_executed()));
-      vtime_gauge_->set(to_seconds(lanes_.max_lane_now()));
+      events_gauge_->set(static_cast<double>(eng_.executed()));
+      vtime_gauge_->set(to_seconds(eng_.now()));
     }
     result.mean_data_utilization = data_utilization_.mean();
     result.mean_meta_utilization = meta_utilization_.mean();
-    for (std::size_t l = 0; l < lane_collect_bytes_.size(); ++l) {
-      result.collect_wire_bytes += lane_collect_bytes_[l];
-      result.collect_wire_bytes_full += lane_collect_bytes_full_[l];
-      result.collect_frames_full += lane_frames_full_[l];
-      result.collect_frames_delta += lane_frames_delta_[l];
-    }
+    result.collect_wire_bytes = collect_wire_bytes_;
+    result.collect_wire_bytes_full = collect_wire_bytes_full_;
+    result.collect_frames_full = collect_frames_full_;
+    result.collect_frames_delta = collect_frames_delta_;
     if (fault_ != nullptr) {
       result.degraded_cycles = stats_.degraded_cycles();
       result.stale_stage_reports = stats_.stale_stages();
       result.mean_recovery_ms = stats_.mean_recovery_ms();
-      std::uint64_t injected = 0;
-      for (const std::uint64_t f : lane_faults_) injected += f;
-      result.faults_injected = injected;
+      result.faults_injected = faults_injected_;
       if (cfg_.metrics != nullptr) {
         telemetry::Labels labels{{"component", "sim"}};
         if (!cfg_.telemetry_label.empty()) {
           labels.emplace_back("configuration", cfg_.telemetry_label);
         }
         cfg_.metrics->counter("sds_fault_injected_total", labels)
-            ->add(injected);
+            ->add(faults_injected_);
       }
     }
     result.final_data_limits.reserve(stages_.size());
@@ -2009,8 +1907,6 @@ class Run {
   struct Agg {
     std::unique_ptr<core::AggregatorCore> core;
     std::unique_ptr<SimHost> host;
-    /// Home lane: the aggregator, its host and all of its stages.
-    std::uint32_t lane = 0;
     std::vector<std::size_t> stage_indices;
     std::vector<proto::StageMetrics> collected;
     std::size_t pending_metrics = 0;
@@ -2020,7 +1916,7 @@ class Run {
     int parent = -1;
     /// Position among the parent's children (canonical report slot).
     std::size_t child_pos = 0;
-    // -- Fault state (touched only on the agg's lane) --------------------
+    // -- Fault state --------------------------------------------------------
     /// Local-stage-index-indexed reply guard for the current sub-collect.
     std::vector<char> fault_seen;
     bool collect_open = false;
@@ -2031,38 +1927,35 @@ class Run {
     /// Cycle the open phase belongs to (staleness stamp for deadlines
     /// and late acks).
     std::uint64_t fault_cycle = 0;
-    /// Silent stages this cycle; crosses to lane 0 inside the report.
+    /// Silent stages this cycle; travels with the report.
     std::size_t stale = 0;
-    /// Recovery samples this cycle; cross to lane 0 inside the report.
+    /// Recovery samples this cycle; travel with the report.
     std::vector<Nanos> recoveries;
     /// Latest instant one of this agg's stages applied a rule this cycle
-    /// (agg lane; crosses to lane 0 by value with the merged ack, for
-    /// the `disseminate` sub-segment). Nanos{-1} = none applied.
+    /// (travels with the merged ack, for the `disseminate` sub-segment).
+    /// Nanos{-1} = none applied.
     Nanos rule_applied_max{-1};
   };
 
   /// Third-level controller (3-level hierarchies).
   struct Super {
     std::unique_ptr<SimHost> host;
-    std::uint32_t lane = 0;
     std::vector<std::size_t> children;  // aggregator indices
     /// Child-position-indexed (canonical merge order).
     std::vector<proto::AggregatedMetrics> child_reports;
     std::size_t pending_reports = 0;
     std::size_t pending_acks = 0;
     std::uint32_t acks_applied = 0;
-    /// Latest child local collect-close relayed this cycle (super lane;
-    /// crosses to lane 0 with the merged report). Nanos{-1} = none.
+    /// Latest child local collect-close relayed this cycle (travels with
+    /// the merged report). Nanos{-1} = none.
     Nanos child_close_max{-1};
-    /// Latest rule-apply instant among the children's acks (super lane).
+    /// Latest rule-apply instant among the children's acks.
     Nanos rule_applied_max{-1};
   };
 
   struct Peer {
     std::unique_ptr<core::CoordinatedControllerCore> core;
     std::unique_ptr<SimHost> host;
-    /// Home lane: the peer, its host and all of its stages.
-    std::uint32_t lane = 0;
     std::vector<std::size_t> stage_indices;
     std::vector<proto::StageMetrics> collected;
     /// All-to-all exchange buffer, indexed by source peer — every peer
@@ -2071,8 +1964,8 @@ class Run {
     std::size_t summaries_received = 0;
     std::size_t pending_metrics = 0;
     std::size_t pending_acks = 0;
-    /// Lane-local phase completion instants, joined by the coordinator
-    /// (idle hook) into the cycle's phase boundaries.
+    /// Phase completion instants, joined by on_queue_drained() into the
+    /// cycle's phase boundaries.
     Nanos exchange_done_at{0};
     Nanos compute_done_at{0};
     Nanos enforce_done_at{0};
@@ -2080,8 +1973,7 @@ class Run {
 
   const ExperimentConfig& cfg_;
   const FronteraProfile& prof_;
-  LaneRunner lanes_;
-  Engine& eng0_;  // lane 0: the global controller's engine
+  Engine eng_;
   SimHost global_host_;
   core::GlobalControllerCore global_;
   /// Columnar store backing the flat collect path (hierarchical runs use
@@ -2095,8 +1987,6 @@ class Run {
   std::vector<std::unique_ptr<Super>> supers_;
   std::vector<std::unique_ptr<Peer>> peers_;
   std::vector<stage::VirtualStage> stages_;
-  /// Home lane of each stage (its owning controller's lane).
-  std::vector<std::uint32_t> stage_lane_;
 
   // Per-cycle state.
   std::uint64_t cycle_ = 0;
@@ -2104,9 +1994,9 @@ class Run {
   Nanos collect_end_{0};
   Nanos compute_end_{0};
   Nanos last_cycle_end_{0};
-  // Phase-attribution instants (lane 0), max-folded from values that
-  // cross inside the reply closures; Nanos{-1} = no boundary observed
-  // this cycle (the sub-segment stays 0).
+  // Phase-attribution instants at the global controller, max-folded from
+  // values carried by the reply closures; Nanos{-1} = no boundary
+  // observed this cycle (the sub-segment stays 0).
   /// Latest aggregator local collect-close → `aggregate` sub-segment.
   Nanos agg_close_max_{-1};
   /// Latest rule-apply instant at a stage → `disseminate` sub-segment.
@@ -2130,16 +2020,14 @@ class Run {
   /// paths, GlobalControllerCore's persistent store-backed result on the
   /// incremental path. Set by compute_flat() before every enforce.
   const core::ComputeResult* compute_view_ = nullptr;
-  /// Per-stage previous report + first-report flag for delta framing
-  /// (each slot owned by the lane that runs the stage's collect).
+  /// Per-stage previous report + first-report flag for delta framing.
   std::vector<proto::StageMetrics> last_report_;
   std::vector<char> has_report_;
-  /// Collect wire accounting, indexed by receiving controller's lane
-  /// (summed at finalize() with the lanes quiescent).
-  std::vector<std::uint64_t> lane_collect_bytes_;
-  std::vector<std::uint64_t> lane_collect_bytes_full_;
-  std::vector<std::uint64_t> lane_frames_full_;
-  std::vector<std::uint64_t> lane_frames_delta_;
+  /// Collect wire accounting over accepted reports.
+  std::uint64_t collect_wire_bytes_ = 0;
+  std::uint64_t collect_wire_bytes_full_ = 0;
+  std::uint64_t collect_frames_full_ = 0;
+  std::uint64_t collect_frames_delta_ = 0;
   core::CycleStats stats_;
   RunningStats data_utilization_;
   RunningStats meta_utilization_;
@@ -2152,16 +2040,14 @@ class Run {
 
   // -- Fault-injection state (unallocated without a plan) ---------------
   std::unique_ptr<fault::CompiledPlan> fault_;
-  /// Injections per lane; each slot touched only by its lane's events,
-  /// summed at finalize() with the lanes quiescent.
-  std::vector<std::uint64_t> lane_faults_;
+  std::uint64_t faults_injected_ = 0;
   /// Virtual time of the last accepted collect reply per stage, for
-  /// recovery accounting; each entry owned by the lane the stage's
-  /// replies are delivered on. Nanos{-1} = never.
+  /// recovery accounting. Nanos{-1} = never.
   std::vector<Nanos> last_fresh_at_;
   /// Received-only metrics, compacted for degraded flat computes.
   std::vector<proto::StageMetrics> flat_scratch_;
-  // Lane-0 phase state: flat collect, hier reports, enforce acks.
+  // Global-controller phase state: flat collect, hier reports, enforce
+  // acks.
   bool collect_open_ = false;
   bool report_open_ = false;
   bool enforce_open_ = false;
@@ -2181,18 +2067,7 @@ class Run {
 }  // namespace
 
 Result<ExperimentResult> run_experiment(const ExperimentConfig& config) {
-  ExperimentConfig cfg = config;
-  if (cfg.lanes == 0) {
-    cfg.lanes = 1;
-    if (const char* env = std::getenv("SDSCALE_SIM_LANES")) {
-      char* end = nullptr;
-      const unsigned long v = std::strtoul(env, &end, 10);
-      if (end != env && *end == '\0' && v > 0) {
-        cfg.lanes = static_cast<std::size_t>(v);
-      }
-    }
-  }
-  Run run(cfg);
+  Run run(config);
   SDS_RETURN_IF_ERROR(run.validate());
   return run.execute();
 }

@@ -104,19 +104,7 @@ struct ExperimentConfig {
   /// incremental dirty sets — untouched. 0 = track every change.
   double activity_threshold = 0.0;
   FronteraProfile profile{};
-  /// Wall-clock-independent utilization sampling interval (see
-  /// ExperimentResult::mean_data_utilization).
-  Nanos utilization_sample_interval = millis(50);
   std::uint64_t seed = 42;
-  /// Simulation lanes: the event population is sharded across this many
-  /// engines and run in parallel between synchronization horizons (see
-  /// sim/parallel.h). Results are bit-identical for every lane count.
-  /// 0 = read SDSCALE_SIM_LANES from the environment (default 1).
-  /// The effective count is clamped to the topology's parallel units
-  /// (stages for flat, aggregators for hierarchical, peers for
-  /// coordinated) and to 1 when the profile's wire latency — the
-  /// conservative lookahead — is not positive.
-  std::size_t lanes = 0;
   /// Optional fault plan (not owned; must outlive the run). When set,
   /// the plan is compiled against the topology and injected at event
   /// granularity: crashed/partitioned stages stay silent, slow windows
@@ -125,7 +113,7 @@ struct ExperimentConfig {
   /// quorum/deadline instead of waiting forever, recording degraded
   /// cycles, stale stages and recovery times. Injection is a pure
   /// function of (plan seed, cycle, entity), so results stay
-  /// bit-identical across lane counts. Supported for the flat and
+  /// bit-identical across runs. Supported for the flat and
   /// 2-level hierarchical topologies with central decisions,
   /// pre-aggregation and parallel fan-out; nullptr = fault-free (the
   /// hooks vanish and event schedules are byte-identical to pre-fault
@@ -185,8 +173,8 @@ struct ExperimentResult {
   /// simulated against live runs.
   std::vector<double> final_data_limits;
   std::vector<double> final_meta_limits;
-  /// Time-averaged PFS load factor (sampled every
-  /// `utilization_sample_interval` of simulated time):
+  /// Time-averaged PFS load factor (sampled every 50 ms of simulated
+  /// time):
   /// Σ_stages min(demand, enforced limit) / budget, per dimension.
   /// > 1 means the PFS is overloaded (limits not yet enforced);
   /// < 1 under contention means the control plane is reallocating too

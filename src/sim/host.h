@@ -47,20 +47,8 @@ class SimHost {
   template <typename F>
   void send(std::size_t payload_bytes, F&& on_arrival,
             Nanos extra_cpu = Nanos{0}) {
-    send_to(engine_->lane(), payload_bytes, std::forward<F>(on_arrival),
-            extra_cpu);
-  }
-
-  /// send() with an explicit destination lane for parallel runs: the
-  /// arrival closure executes on `dest_lane`'s engine. Timing is
-  /// identical to send() — the destination lane only selects where the
-  /// arrival runs, never when (arrivals always pay >= one wire latency,
-  /// which is the lane runner's lookahead).
-  template <typename F>
-  void send_to(std::uint32_t dest_lane, std::size_t payload_bytes,
-               F&& on_arrival, Nanos extra_cpu = Nanos{0}) {
     run(charge_send(payload_bytes, extra_cpu),
-        make_nic_event(dest_lane, payload_bytes, std::forward<F>(on_arrival)));
+        make_nic_event(payload_bytes, std::forward<F>(on_arrival)));
   }
 
   /// Fan out `count` messages of identical `payload_bytes` in one batched
@@ -72,19 +60,6 @@ class SimHost {
   template <typename MakeArrival>
   void broadcast(std::size_t count, std::size_t payload_bytes,
                  MakeArrival&& make_on_arrival, Nanos extra_cpu = Nanos{0}) {
-    const std::uint32_t own = engine_->lane();
-    broadcast_to(
-        count, payload_bytes, std::forward<MakeArrival>(make_on_arrival),
-        [own](std::size_t) { return own; }, extra_cpu);
-  }
-
-  /// broadcast() with per-recipient destination lanes: `lane_of(i)` names
-  /// the lane the i-th arrival closure executes on. Accounting and event
-  /// times are identical to broadcast().
-  template <typename MakeArrival, typename LaneOf>
-  void broadcast_to(std::size_t count, std::size_t payload_bytes,
-                    MakeArrival&& make_on_arrival, LaneOf&& lane_of,
-                    Nanos extra_cpu = Nanos{0}) {
     batch_.reserve(count);
     for (std::size_t i = 0; i < count; ++i) {
       const Nanos cpu_cost = charge_send(payload_bytes, extra_cpu);
@@ -92,8 +67,7 @@ class SimHost {
       cpu_free_ = start + cpu_cost;
       busy_ns_ += cpu_cost.count();
       batch_.push_back(Engine::TimedEvent{
-          cpu_free_,
-          make_nic_event(lane_of(i), payload_bytes, make_on_arrival(i))});
+          cpu_free_, make_nic_event(payload_bytes, make_on_arrival(i))});
     }
     engine_->schedule_batch(batch_);
   }
@@ -136,21 +110,18 @@ class SimHost {
 
   /// The NIC-serialization continuation shared by send() and broadcast():
   /// occupies the transmit link for size/bandwidth, then schedules
-  /// `on_arrival` on `dest_lane` after the wire latency. The arrival is
-  /// always >= one wire latency in the future, so cross-lane deliveries
-  /// satisfy the lane runner's conservative lookahead by construction.
+  /// `on_arrival` after the wire latency.
   template <typename F>
-  auto make_nic_event(std::uint32_t dest_lane, std::size_t payload_bytes,
-                      F&& on_arrival) {
+  auto make_nic_event(std::size_t payload_bytes, F&& on_arrival) {
     const std::size_t wire_bytes = payload_bytes + profile_->msg_overhead_bytes;
-    return [this, dest_lane, wire_bytes,
+    return [this, wire_bytes,
             on_arrival = std::forward<F>(on_arrival)]() mutable {
       const Nanos serialize{static_cast<std::int64_t>(
           static_cast<double>(wire_bytes) / profile_->nic_bytes_per_ns)};
       const Nanos start = std::max(engine_->now(), tx_free_);
       tx_free_ = start + serialize;
-      engine_->schedule_cross(dest_lane, tx_free_ + profile_->wire_latency,
-                              std::move(on_arrival));
+      engine_->schedule_at(tx_free_ + profile_->wire_latency,
+                           std::move(on_arrival));
     };
   }
 

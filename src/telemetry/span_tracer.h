@@ -48,8 +48,8 @@ enum class SpanPhase : std::uint8_t {
 }
 
 /// Deterministic span-id derivation: FNV-1a over (trace, track, name).
-/// Ids must not depend on recording order — the parallel sim records
-/// spans from several lanes — so they are pure functions of stable keys.
+/// Ids must not depend on recording order, so they are pure functions of
+/// stable keys.
 /// The same logical span re-recorded (e.g. a duplicated wire delivery)
 /// derives the same id, which is how trace_report spots duplicates.
 [[nodiscard]] constexpr std::uint64_t derive_span_id(

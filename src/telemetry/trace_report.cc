@@ -16,7 +16,10 @@ namespace {
 /// either numbers or strings with standard escapes; keys are unescaped
 /// ASCII (which is all our emitters produce).
 std::string_view find_value(std::string_view object, std::string_view key) {
-  const std::string needle = "\"" + std::string(key) + "\":";
+  // Built in two steps: GCC 12's -Wrestrict misfires on the operator+
+  // temporary here under -O3 (PR 105329).
+  std::string needle = "\"";
+  needle.append(key).append("\":");
   // Keys never appear inside our string values except "name" inside
   // args — search from the front; first hit wins, which matches the
   // emitters' field order.

@@ -37,7 +37,7 @@ constexpr std::size_t kTraceContextSize = 16;
 
 /// Compact causal context carried across wire hops: which per-cycle trace
 /// a message belongs to and which span caused it. trace_id is the cycle
-/// number by convention (unique enough per run, stable across lanes).
+/// number by convention (unique enough per run).
 struct TraceContext {
   std::uint64_t trace_id = 0;
   std::uint64_t parent_span = 0;

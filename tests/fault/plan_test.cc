@@ -1,6 +1,6 @@
 // FaultPlan / CompiledPlan unit tests: text-format parsing, field
 // validation, deterministic compilation, and the pure message-fate
-// function the simulator's lane-invariance rests on.
+// function the simulator's replay determinism rests on.
 #include "fault/plan.h"
 
 #include <gtest/gtest.h>

@@ -1,9 +1,9 @@
 // Fault-injection determinism and degraded-cycle semantics in the
-// simulator: a faulted run must be bit-identical across lane counts and
-// repeated runs (injection is a pure function of plan seed, cycle,
-// entity and virtual time), crashed stages must surface as degraded
-// cycles with stale-stage accounting instead of hangs, and restarts
-// must produce recovery-time samples.
+// simulator: a faulted run must be bit-identical across repeated runs
+// (injection is a pure function of plan seed, cycle, entity and virtual
+// time), crashed stages must surface as degraded cycles with stale-stage
+// accounting instead of hangs, and restarts must produce recovery-time
+// samples.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -46,7 +46,6 @@ ExperimentConfig base_config(std::size_t stages, std::size_t aggregators) {
   config.stages_per_job = 10;
   config.duration = millis(120);
   config.max_cycles = 12;
-  config.lanes = 1;
   return config;
 }
 
@@ -68,7 +67,7 @@ fault::FaultPlan busy_plan() {
   return plan;
 }
 
-TEST(SimFaultTest, FaultedRunIsBitIdenticalAcrossLanesAndRepeats) {
+TEST(SimFaultTest, FaultedRunIsBitIdenticalAcrossRepeats) {
   const fault::FaultPlan plan = busy_plan();
   struct Topo {
     const char* name;
@@ -84,14 +83,10 @@ TEST(SimFaultTest, FaultedRunIsBitIdenticalAcrossLanesAndRepeats) {
       ASSERT_TRUE(reference.is_ok())
           << topo.name << ": " << reference.status();
       EXPECT_GT(reference->faults_injected, 0u) << topo.name;
-      const std::string want = fingerprint(*reference);
-      for (const std::size_t lanes : {1u, 2u, 4u}) {
-        config.lanes = lanes;
-        const auto result = run_experiment(config);
-        ASSERT_TRUE(result.is_ok()) << topo.name << " lanes=" << lanes;
-        EXPECT_EQ(fingerprint(*result), want)
-            << topo.name << " seed=" << seed << " lanes=" << lanes;
-      }
+      const auto repeat = run_experiment(config);
+      ASSERT_TRUE(repeat.is_ok()) << topo.name;
+      EXPECT_EQ(fingerprint(*repeat), fingerprint(*reference))
+          << topo.name << " seed=" << seed;
     }
   }
 }

@@ -247,5 +247,30 @@ TEST(EngineTest, SparseTimersJumpEmptyWheelRegions) {
   }
 }
 
+TEST(EngineTest, RunBeforeIsStrictAndLeavesClockAtLastEvent) {
+  Engine e;
+  std::vector<std::int64_t> ran;
+  for (const std::int64_t t : {10, 20, 30}) {
+    e.schedule_at(Nanos{t}, [&ran, t] { ran.push_back(t); });
+  }
+  // The bound is exclusive: the event *at* 20 must not run.
+  e.run_before(Nanos{20});
+  EXPECT_EQ(ran, std::vector<std::int64_t>{10});
+  // Unlike run_until, the clock stays at the last executed event.
+  EXPECT_EQ(e.now(), Nanos{10});
+  e.run_before(Nanos{31});
+  EXPECT_EQ(ran, (std::vector<std::int64_t>{10, 20, 30}));
+  EXPECT_EQ(e.now(), Nanos{30});
+  EXPECT_TRUE(e.empty());
+}
+
+TEST(EngineTest, AdvanceToNeverRewinds) {
+  Engine e;
+  e.advance_to(Nanos{50});
+  EXPECT_EQ(e.now(), Nanos{50});
+  e.advance_to(Nanos{10});
+  EXPECT_EQ(e.now(), Nanos{50});
+}
+
 }  // namespace
 }  // namespace sds::sim

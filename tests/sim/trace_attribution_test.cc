@@ -1,15 +1,14 @@
 // Causal cycle tracing in the simulator: every cycle yields one span per
 // phase with deterministic derive_span_id identities and correct
 // parent/child links across components (controller track 0, aggregator /
-// stage tracks), traces are invariant under lane sharding, and attaching
-// a tracer or flight recorder never perturbs simulated results.
+// stage tracks), and attaching a tracer or flight recorder never perturbs
+// simulated results.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
 #include <set>
 #include <string>
-#include <tuple>
 #include <vector>
 
 #include "sim/experiment.h"
@@ -29,19 +28,7 @@ ExperimentConfig base_config(std::size_t aggregators) {
   config.stages_per_job = 4;
   config.max_cycles = 3;
   config.duration = seconds(60);
-  config.lanes = 1;
   return config;
-}
-
-/// Cycle-phase and component spans only (lane-summary spans carry the
-/// "sim" category and are per-lane bookkeeping, not per-cycle trace).
-std::vector<Span> trace_spans(const telemetry::SpanTracer& tracer) {
-  std::vector<Span> out;
-  for (const auto& span : tracer.snapshot()) {
-    if (span.category == "sim") continue;
-    out.push_back(span);
-  }
-  return out;
 }
 
 TEST(TraceAttributionTest, FlatSimLinksPhasesAndStageHop) {
@@ -54,7 +41,7 @@ TEST(TraceAttributionTest, FlatSimLinksPhasesAndStageHop) {
   ASSERT_TRUE(result.is_ok()) << result.status().to_string();
   ASSERT_EQ(result.value().cycles, 3u);
 
-  const auto spans = trace_spans(tracer);
+  const auto spans = tracer.snapshot();
   std::set<std::uint64_t> traces;
   std::set<std::uint32_t> tracks;
   for (const auto& span : spans) {
@@ -109,7 +96,7 @@ TEST(TraceAttributionTest, HierSimLinksAggregatorHops) {
   }());
   ASSERT_TRUE(result.is_ok()) << result.status().to_string();
 
-  const auto spans = trace_spans(tracer);
+  const auto spans = tracer.snapshot();
   std::set<std::uint64_t> traces;
   for (const auto& span : spans) {
     if (span.name == "cycle") traces.insert(span.trace_id);
@@ -164,40 +151,6 @@ TEST(TraceAttributionTest, TracingDoesNotPerturbSimulatedResults) {
   expect_identical(plain.value(), traced.value());
   EXPECT_GT(tracer.recorded(), 0u);
   EXPECT_GT(flight.recorded(), 0u);
-}
-
-TEST(TraceAttributionTest, LaneShardingPreservesSpansAndResults) {
-  const auto run_with_lanes = [](std::size_t lanes, telemetry::SpanTracer* t) {
-    auto config = base_config(/*aggregators=*/2);
-    config.lanes = lanes;
-    config.tracer = t;
-    return run_experiment(config);
-  };
-  telemetry::SpanTracer serial_tracer;
-  telemetry::SpanTracer sharded_tracer;
-  const auto serial = run_with_lanes(1, &serial_tracer);
-  const auto sharded = run_with_lanes(2, &sharded_tracer);
-  ASSERT_TRUE(serial.is_ok()) << serial.status().to_string();
-  ASSERT_TRUE(sharded.is_ok()) << sharded.status().to_string();
-  expect_identical(serial.value(), sharded.value());
-
-  // The per-cycle trace (identity, timing and lineage of every span) is
-  // invariant under lane count; only the per-lane "sim" summary tracks
-  // differ. Compare as sorted multisets — recording order may differ.
-  using Key = std::tuple<std::uint64_t, std::uint64_t, std::uint64_t,
-                         std::int64_t, std::int64_t, std::string,
-                         std::uint32_t>;
-  const auto keys = [](const telemetry::SpanTracer& tracer) {
-    std::vector<Key> out;
-    for (const auto& span : trace_spans(tracer)) {
-      out.emplace_back(span.trace_id, span.span_id, span.parent_span,
-                       span.start.count(), span.duration.count(), span.name,
-                       span.track);
-    }
-    std::sort(out.begin(), out.end());
-    return out;
-  };
-  EXPECT_EQ(keys(serial_tracer), keys(sharded_tracer));
 }
 
 TEST(TraceAttributionTest, FlightRecorderAloneCapturesPhaseSpans) {

@@ -57,7 +57,11 @@ TEST(FlightRecorderTest, RingKeepsNewestOldestFirst) {
   FlightRecorder flight(/*capacity=*/4);
   EXPECT_EQ(flight.capacity(), 4u);
   for (std::uint64_t i = 0; i < 10; ++i) {
-    flight.record(make_span("s" + std::to_string(i), i));
+    // Built in two steps: GCC 12's -Wrestrict misfires on the operator+
+    // temporary here under -O3 (PR 105329).
+    std::string name = "s";
+    name += std::to_string(i);
+    flight.record(make_span(name, i));
   }
   EXPECT_EQ(flight.recorded(), 10u);
   EXPECT_EQ(flight.dropped(), 6u);

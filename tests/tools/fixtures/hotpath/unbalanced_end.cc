@@ -4,6 +4,6 @@ namespace fixture {
 void fine() {}
 // sdslint: end-hotpath
 void also_fine() {}
-// sdslint: end-lane-runner
+// sdslint: hotpath-end
 
 }  // namespace fixture

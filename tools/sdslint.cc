@@ -16,12 +16,10 @@
 //   sim-sleep       [sim]        no sleep_for/sleep_until/usleep/... —
 //                                simulated time advances via the engine.
 //   sim-thread      [sim]        no std::thread/jthread/async/
-//                                pthread_create outside a
-//                                `// sdslint: lane-runner` region — the
-//                                only sanctioned thread-spawn site in
-//                                the simulator is the lane runner's
-//                                worker team (sim/parallel.cc); events
-//                                themselves stay single-threaded.
+//                                pthread_create — the simulator is
+//                                single-threaded; parallelism lives in
+//                                the bench sweeps (--jobs), one run per
+//                                worker.
 //   unordered-iter  [sim,bench]  no iteration over unordered containers
 //                                (range-for or .begin()) — hash order is
 //                                implementation-defined and would leak
@@ -41,15 +39,12 @@
 //   // sdslint: hotpath          begin a hot-path region
 //   // sdslint: end-hotpath      end it (hotpath-begin / hotpath-end are
 //                                accepted aliases)
-//   // sdslint: lane-runner      begin a lane-runner region (sim-thread
-//                                suspended; all other rules still apply)
-//   // sdslint: end-lane-runner  end it
 //   // sdslint: allow(rule,...)  suppress on this line (or, when the
 //                                comment stands alone, on the next line)
 //
-// Regions nest: each end marker closes the innermost open region of its
-// kind. An end without a begin, or a region still open at end of file,
-// is an `unbalanced-directive` error (not suppressible).
+// Regions nest: each end marker closes the innermost open region. An
+// end without a begin, or a region still open at end of file, is an
+// `unbalanced-directive` error (not suppressible).
 //
 // This is a token/line-level checker, not a compiler plugin: it reads
 // each file once, strips comments and string/char literals, and pattern
@@ -91,8 +86,7 @@ constexpr RuleInfo kRules[] = {
     {"sim-wallclock", "src/sim", "wall-clock time source in simulation code"},
     {"sim-rand", "src/sim", "ambient randomness in simulation code"},
     {"sim-sleep", "src/sim", "real-time sleep in simulation code"},
-    {"sim-thread", "src/sim",
-     "thread spawn in simulation code outside a lane-runner region"},
+    {"sim-thread", "src/sim", "thread spawn in simulation code"},
     {"unordered-iter", "src/sim, bench",
      "iteration over an unordered container (hash order leaks into output)"},
     {"hotpath-alloc", "hotpath regions",
@@ -388,15 +382,13 @@ bool declares_container_by_value(const std::string& code) {
 struct Directives {
   bool hotpath_begin = false;
   bool hotpath_end = false;
-  bool lane_runner_begin = false;
-  bool lane_runner_end = false;
   std::set<std::string> allowed;
 };
 
 /// Parse `sdslint:` directives out of a line's comment text. Only a
 /// comment that *starts* with `sdslint:` is a directive — prose that
 /// merely mentions one (doc headers, fixture descriptions quoting
-/// `// sdslint: lane-runner`) must not open or close a region.
+/// `// sdslint: hotpath`) must not open or close a region.
 Directives parse_directives(const std::string& comment) {
   Directives d;
   std::size_t start = 0;
@@ -420,10 +412,6 @@ Directives parse_directives(const std::string& comment) {
       d.hotpath_end = true;
     } else if (comment.compare(i, 7, "hotpath") == 0) {
       d.hotpath_begin = true;
-    } else if (comment.compare(i, 15, "end-lane-runner") == 0) {
-      d.lane_runner_end = true;
-    } else if (comment.compare(i, 11, "lane-runner") == 0) {
-      d.lane_runner_begin = true;
     } else if (comment.compare(i, 6, "allow(") == 0) {
       i += 6;
       std::string rule;
@@ -479,7 +467,6 @@ void lint_file(const fs::path& path, std::vector<Finding>& findings) {
   // outer region. Each open begin remembers its line so a region left
   // open at EOF is reported where it started.
   std::vector<int> hotpath_stack;
-  std::vector<int> lane_runner_stack;
   std::set<std::string> pending_allow;  // from a standalone comment line
   std::string line;
   std::string code;
@@ -499,18 +486,7 @@ void lint_file(const fs::path& path, std::vector<Finding>& findings) {
         hotpath_stack.pop_back();
       }
     }
-    if (directives.lane_runner_begin) lane_runner_stack.push_back(lineno);
-    if (directives.lane_runner_end) {
-      if (lane_runner_stack.empty()) {
-        findings.push_back({path.string(), lineno, "unbalanced-directive",
-                            "`end-lane-runner` without a matching "
-                            "`lane-runner` begin"});
-      } else {
-        lane_runner_stack.pop_back();
-      }
-    }
     const bool in_hotpath = !hotpath_stack.empty();
-    const bool in_lane_runner = !lane_runner_stack.empty();
 
     const bool has_code =
         code.find_first_not_of(" \t") != std::string::npos;
@@ -570,19 +546,13 @@ void lint_file(const fs::path& path, std::vector<Finding>& findings) {
             "sleep() blocks on real time; schedule a simulated delay on "
             "the engine instead");
       }
-      // Threads are allowed only inside `// sdslint: lane-runner`
-      // regions — the lane runner's worker team (sim/parallel.cc) is
-      // the simulator's one sanctioned thread-spawn site. Everywhere
-      // else, event code must stay single-threaded.
-      if (!in_lane_runner &&
-          (has_qualified_word(code, "thread") ||
-           has_qualified_word(code, "jthread") ||
-           has_qualified_word(code, "async") ||
-           find_word(code, "pthread_create") != std::string::npos)) {
+      if (has_qualified_word(code, "thread") ||
+          has_qualified_word(code, "jthread") ||
+          has_qualified_word(code, "async") ||
+          find_word(code, "pthread_create") != std::string::npos) {
         hit("sim-thread",
-            "thread spawn in simulation code outside a lane-runner "
-            "region; threads may only be spawned by the lane runner's "
-            "worker team");
+            "thread spawn in simulation code; the simulator is "
+            "single-threaded (parallelize across runs instead)");
       }
     }
 
@@ -590,7 +560,7 @@ void lint_file(const fs::path& path, std::vector<Finding>& findings) {
     // fault/plan.h): every time is virtual Nanos from the run epoch and
     // every draw derives from FaultPlan::seed, so a wall-clock read or
     // ambient randomness would break the bit-identical replay the plans
-    // promise across lanes and between sim and runtime. Real-time
+    // promise across runs and between sim and runtime. Real-time
     // sleeps are deliberately NOT banned here: the runtime FaultDriver
     // side may pace itself, and a sleep is not a clock *read*.
     if (rules.fault) {
@@ -712,11 +682,6 @@ void lint_file(const fs::path& path, std::vector<Finding>& findings) {
     findings.push_back({path.string(), begin_line, "unbalanced-directive",
                         "`hotpath` region opened here is never closed "
                         "(missing `end-hotpath`)"});
-  }
-  for (const int begin_line : lane_runner_stack) {
-    findings.push_back({path.string(), begin_line, "unbalanced-directive",
-                        "`lane-runner` region opened here is never closed "
-                        "(missing `end-lane-runner`)"});
   }
 }
 
