@@ -8,6 +8,10 @@
 // SDS_GUARDED_BY(mu_) and every condition wait uses a predicate, so a
 // close() racing a blocked pop()/push() always resolves (the predicates
 // observe `closed_` under the lock — see QueueShutdownTest).
+//
+// A producer that emits bursts can batch its wake-ups: push_quiet()
+// appends without signalling and reports whether a consumer sleeps;
+// the producer then calls wake() once, after the burst.
 #pragma once
 
 #include <deque>
@@ -18,6 +22,13 @@
 #include "common/thread_annotations.h"
 
 namespace sds {
+
+/// Outcome of Queue::push_quiet().
+enum class QuietPush {
+  kRejected,  // closed, or a bounded queue is full (as try_push())
+  kQueued,    // appended; no consumer was asleep
+  kWakeOwed,  // appended while a consumer slept: call wake() later
+};
 
 template <typename T>
 class Queue {
@@ -40,6 +51,24 @@ class Queue {
     return true;
   }
 
+  /// Non-blocking push that signals nobody, so a burst of pushes costs
+  /// no wake-ups. kWakeOwed means a consumer is blocked in a pop and
+  /// stays asleep until the caller calls wake(); the item itself is in
+  /// the queue at once, so it keeps its place relative to other pushes.
+  QuietPush push_quiet(T item) SDS_EXCLUDES(mu_) {
+    MutexLock lock(mu_);
+    if (closed_ || is_full()) return QuietPush::kRejected;
+    items_.push_back(std::move(item));
+    return sleepers_ > 0 ? QuietPush::kWakeOwed : QuietPush::kQueued;
+  }
+
+  /// Wakes every consumer blocked in a pop — the deferred signal that a
+  /// push_quiet() returning kWakeOwed asked for. A no-op when none is.
+  void wake() SDS_EXCLUDES(mu_) {
+    MutexLock lock(mu_);
+    if (sleepers_ > 0) not_empty_.notify_all();
+  }
+
   /// Non-blocking push. Returns false when full or closed.
   bool try_push(T item) SDS_EXCLUDES(mu_) {
     MutexLock lock(mu_);
@@ -52,18 +81,18 @@ class Queue {
   /// Blocking pop. Returns nullopt once closed and drained.
   std::optional<T> pop() SDS_EXCLUDES(mu_) {
     MutexLock lock(mu_);
-    not_empty_.wait(lock, [&]() SDS_REQUIRES(mu_) {
-      return closed_ || !items_.empty();
-    });
+    wait_not_empty(lock);
     return pop_locked();
   }
 
   /// Pop with relative timeout. Returns nullopt on timeout or closed+empty.
   std::optional<T> pop_for(Nanos timeout) SDS_EXCLUDES(mu_) {
     MutexLock lock(mu_);
+    ++sleepers_;
     not_empty_.wait_for(lock, timeout, [&]() SDS_REQUIRES(mu_) {
       return closed_ || !items_.empty();
     });
+    --sleepers_;
     return pop_locked();
   }
 
@@ -74,9 +103,7 @@ class Queue {
   bool pop_all(std::deque<T>& out) SDS_EXCLUDES(mu_) {
     out.clear();
     MutexLock lock(mu_);
-    not_empty_.wait(lock, [&]() SDS_REQUIRES(mu_) {
-      return closed_ || !items_.empty();
-    });
+    wait_not_empty(lock);
     if (items_.empty()) return false;
     out.swap(items_);
     not_full_.notify_all();
@@ -111,6 +138,16 @@ class Queue {
   }
 
  private:
+  /// Blocks until an item or close() arrives, counted in `sleepers_`
+  /// meanwhile so push_quiet() can tell a sleeping consumer.
+  void wait_not_empty(MutexLock& lock) SDS_REQUIRES(mu_) {
+    ++sleepers_;
+    not_empty_.wait(lock, [&]() SDS_REQUIRES(mu_) {
+      return closed_ || !items_.empty();
+    });
+    --sleepers_;
+  }
+
   bool is_full() const SDS_REQUIRES(mu_) {
     return capacity_ != 0 && items_.size() >= capacity_;
   }
@@ -129,6 +166,9 @@ class Queue {
   CondVar not_full_;
   std::deque<T> items_ SDS_GUARDED_BY(mu_);
   bool closed_ SDS_GUARDED_BY(mu_) = false;
+  /// Consumers inside a not_empty_ wait (blocked, or woken but not yet
+  /// back under the lock).
+  std::size_t sleepers_ SDS_GUARDED_BY(mu_) = 0;
 };
 
 }  // namespace sds

@@ -11,6 +11,18 @@ std::optional<std::uint64_t> peek_cycle_id(const wire::Frame& frame) {
   return cycle;
 }
 
+std::vector<Gather::Slot> Gather::sorted_index(
+    const std::vector<ConnId>& expected) {
+  std::vector<Slot> index;
+  index.reserve(expected.size());
+  for (std::size_t i = 0; i < expected.size(); ++i) {
+    index.push_back({expected[i], static_cast<std::uint32_t>(i)});
+  }
+  std::sort(index.begin(), index.end(),
+            [](const Slot& a, const Slot& b) { return a.conn < b.conn; });
+  return index;
+}
+
 Gather::Gather(proto::MessageType type, std::optional<std::uint64_t> cycle,
                std::vector<ConnId> expected,
                std::shared_ptr<const GatherTelemetry> telemetry,
@@ -19,17 +31,42 @@ Gather::Gather(proto::MessageType type, std::optional<std::uint64_t> cycle,
       alt_type_(alt_type),
       cycle_(cycle),
       expected_(std::move(expected)),
-      telemetry_(std::move(telemetry)) {
-  waiting_.reserve(expected_.size());
-  for (const ConnId c : expected_) waiting_.insert(c);
-  replies_.reserve(expected_.size());
+      index_(sorted_index(expected_)),
+      telemetry_(std::move(telemetry)),
+      state_(expected_.size(), PeerState::kWaiting) {
+  for (std::size_t i = 0; i < index_.size(); ++i) {
+    if (i == 0 || index_[i].conn != index_[i - 1].conn) ++pending_;
+  }
+  replies_.reserve(pending_);
   if (telemetry_ != nullptr) {
     telemetry_->gathers_started->add(1);
     telemetry_->fanout->record(static_cast<std::int64_t>(expected_.size()));
   }
 }
 
-bool Gather::offer(ConnId conn, const wire::Frame& frame) {
+bool Gather::settle(ConnId conn, PeerState state) {
+  auto it = std::lower_bound(
+      index_.begin(), index_.end(), conn,
+      [](const Slot& slot, ConnId c) { return slot.conn < c; });
+  if (it == index_.end() || it->conn != conn ||
+      state_[it->entry] != PeerState::kWaiting) {
+    return false;
+  }
+  for (; it != index_.end() && it->conn == conn; ++it) {
+    state_[it->entry] = state;
+  }
+  --pending_;
+  return true;
+}
+
+void Gather::wake_if_done() {
+  if (!waiter_ || !done(quorum_)) return;
+  waiter_ = false;
+  cv_.notify_one();
+  if (telemetry_ != nullptr) telemetry_->wakeups->add(1);
+}
+
+bool Gather::offer(ConnId conn, wire::Frame& frame) {
   if (frame.type != static_cast<std::uint16_t>(type_) &&
       !(alt_type_.has_value() &&
         frame.type == static_cast<std::uint16_t>(*alt_type_))) {
@@ -40,23 +77,20 @@ bool Gather::offer(ConnId conn, const wire::Frame& frame) {
     if (!cycle || *cycle != *cycle_) return false;
   }
   MutexLock lock(mu_);
-  const auto it = waiting_.find(conn);
-  if (it == waiting_.end()) return false;
-  waiting_.erase(it);
-  replied_.insert(conn);
-  replies_.push_back({conn, frame});
+  if (!settle(conn, PeerState::kReplied)) return false;
+  replies_.push_back({conn, std::move(frame)});
+  ++reply_count_;
   if (telemetry_ != nullptr) telemetry_->replies->add(1);
-  cv_.notify_all();  // every reply may satisfy a quorum wait
+  wake_if_done();
   return true;
 }
 
 void Gather::fail(ConnId conn) {
   MutexLock lock(mu_);
-  if (waiting_.erase(conn) > 0) {
-    ++failed_;
-    if (telemetry_ != nullptr) telemetry_->peer_failures->add(1);
-    if (waiting_.empty()) cv_.notify_all();
-  }
+  if (!settle(conn, PeerState::kFailed)) return;
+  ++failed_;
+  if (telemetry_ != nullptr) telemetry_->peer_failures->add(1);
+  wake_if_done();
 }
 
 Status Gather::wait_for(Nanos timeout) {
@@ -66,11 +100,13 @@ Status Gather::wait_for(Nanos timeout) {
 Status Gather::wait_for(Nanos timeout, std::size_t quorum) {
   MutexLock lock(mu_);
   const auto started = std::chrono::steady_clock::now();
-  cv_.wait_for(lock, timeout, [&]() SDS_REQUIRES(mu_) {
-    return waiting_.empty() || replies_.size() >= quorum;
-  });
-  const bool all_in = waiting_.empty();
-  const bool quorum_met = replies_.size() >= quorum;
+  quorum_ = quorum;
+  waiter_ = true;
+  cv_.wait_for(lock, timeout,
+               [&]() SDS_REQUIRES(mu_) { return done(quorum); });
+  waiter_ = false;
+  const bool all_in = pending_ == 0;
+  const bool quorum_met = reply_count_ >= quorum;
   if (telemetry_ != nullptr) {
     telemetry_->wave_latency_ns->record(
         std::chrono::duration_cast<Nanos>(std::chrono::steady_clock::now() -
@@ -79,7 +115,7 @@ Status Gather::wait_for(Nanos timeout, std::size_t quorum) {
   }
   if (!all_in) {
     if (quorum_met) return Status::ok();  // degraded wave; see missing()
-    return Status::deadline_exceeded(std::to_string(waiting_.size()) +
+    return Status::deadline_exceeded(std::to_string(pending_) +
                                      " replies missing");
   }
   if (failed_ > 0) {
@@ -95,24 +131,24 @@ std::vector<Gather::Reply> Gather::take_replies() {
 
 std::size_t Gather::pending() const {
   MutexLock lock(mu_);
-  return waiting_.size();
+  return pending_;
 }
 
 std::size_t Gather::reply_count() const {
   MutexLock lock(mu_);
-  return replied_.size();
+  return reply_count_;
 }
 
 std::size_t Gather::missing() const {
   MutexLock lock(mu_);
-  return waiting_.size();
+  return pending_;
 }
 
 std::vector<bool> Gather::reply_bitmap() const {
   MutexLock lock(mu_);
   std::vector<bool> bitmap(expected_.size(), false);
   for (std::size_t i = 0; i < expected_.size(); ++i) {
-    bitmap[i] = replied_.count(expected_[i]) > 0;
+    bitmap[i] = state_[i] == PeerState::kReplied;
   }
   return bitmap;
 }
@@ -134,7 +170,9 @@ void Dispatcher::bind_telemetry(telemetry::MetricsRegistry& registry,
       registry.counter("sds_rpc_peer_failures_total", labels);
   instruments->fanout = registry.histogram("sds_rpc_gather_fanout", labels);
   instruments->wave_latency_ns =
-      registry.histogram("sds_rpc_gather_wave_latency_ns", std::move(labels));
+      registry.histogram("sds_rpc_gather_wave_latency_ns", labels);
+  instruments->wakeups =
+      registry.counter("sds_rpc_gather_wakeups_total", std::move(labels));
   MutexLock lock(mu_);
   telemetry_ = std::move(instruments);
 }
@@ -161,27 +199,21 @@ void Dispatcher::finish(const std::shared_ptr<Gather>& gather) {
 }
 
 void Dispatcher::on_frame(ConnId conn, wire::Frame frame) {
-  std::vector<std::shared_ptr<Gather>> gathers;
   FallbackHandler fallback;
   {
     MutexLock lock(mu_);
-    gathers = gathers_;
+    for (const auto& gather : gathers_) {
+      if (gather->offer(conn, frame)) return;
+    }
     fallback = fallback_;
-  }
-  for (const auto& gather : gathers) {
-    if (gather->offer(conn, frame)) return;
   }
   if (fallback) fallback(conn, std::move(frame));
 }
 
 void Dispatcher::on_conn_event(ConnId conn, transport::ConnEvent event) {
   if (event != transport::ConnEvent::kClosed) return;
-  std::vector<std::shared_ptr<Gather>> gathers;
-  {
-    MutexLock lock(mu_);
-    gathers = gathers_;
-  }
-  for (const auto& gather : gathers) gather->fail(conn);
+  MutexLock lock(mu_);
+  for (const auto& gather : gathers_) gather->fail(conn);
 }
 
 }  // namespace sds::rpc

@@ -14,10 +14,9 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <optional>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "common/clock.h"
@@ -42,6 +41,9 @@ struct GatherTelemetry {
   telemetry::HistogramMetric* fanout = nullptr;
   /// wait_for() latency per gather wave.
   telemetry::HistogramMetric* wave_latency_ns = nullptr;
+  /// Waiter wake-ups that offer() and fail() issued: at most one per
+  /// wait, so a full or quorum wave that ends in time counts one.
+  telemetry::Counter* wakeups = nullptr;
 };
 
 /// Reads the leading varint (cycle id) of a frame payload.
@@ -49,6 +51,12 @@ struct GatherTelemetry {
 
 /// One in-flight gather: waits for a reply of `type` from each expected
 /// connection, optionally filtered by cycle id.
+///
+/// The expected peers form a slot table built once at construction: a
+/// sorted (ConnId, slot) index and one state byte per expected entry,
+/// so matching a reply is a binary search and allocates nothing. A
+/// ConnId listed more than once is one peer: it is waited for once, and
+/// its reply marks every entry that names it.
 class Gather {
  public:
   struct Reply {
@@ -61,8 +69,10 @@ class Gather {
          std::shared_ptr<const GatherTelemetry> telemetry = nullptr,
          std::optional<proto::MessageType> alt_type = std::nullopt);
 
-  /// Offer a frame; returns true if this gather consumed it.
-  bool offer(ConnId conn, const wire::Frame& frame) SDS_EXCLUDES(mu_);
+  /// Offer a frame; returns true if this gather consumed it, in which
+  /// case `frame` was moved into the reply set. A refused frame (wrong
+  /// type or cycle, unknown peer, duplicate reply) is left untouched.
+  bool offer(ConnId conn, wire::Frame& frame) SDS_EXCLUDES(mu_);
 
   /// Mark a connection as failed (e.g. it closed); the gather no longer
   /// waits for it.
@@ -73,13 +83,16 @@ class Gather {
   /// missing replies otherwise. Either way the replies that did arrive
   /// stay available — reply_count()/reply_bitmap() say which peers
   /// answered and take_replies() hands over the partial set.
+  ///
+  /// One waiter at a time: offer() and fail() signal the single thread
+  /// blocked here, and only once its wait can end.
   [[nodiscard]] Status wait_for(Nanos timeout) SDS_EXCLUDES(mu_);
 
   /// Quorum variant: additionally returns OK (without waiting further)
   /// once at least `quorum` replies arrived, even though some peers are
   /// still outstanding. Callers distinguish a full wave from a quorum
   /// wave via missing(). kDeadlineExceeded only when the timeout passes
-  /// below quorum.
+  /// below quorum. Same one-waiter contract as above.
   [[nodiscard]] Status wait_for(Nanos timeout, std::size_t quorum)
       SDS_EXCLUDES(mu_);
 
@@ -101,6 +114,24 @@ class Gather {
   [[nodiscard]] std::vector<bool> reply_bitmap() const SDS_EXCLUDES(mu_);
 
  private:
+  enum class PeerState : std::uint8_t { kWaiting, kReplied, kFailed };
+
+  /// One expected_ entry in the sorted index.
+  struct Slot {
+    ConnId conn;
+    std::uint32_t entry;
+  };
+
+  static std::vector<Slot> sorted_index(const std::vector<ConnId>& expected);
+  /// Moves every entry of waiting peer `conn` to `state`; false when
+  /// `conn` is not expected or no longer waiting.
+  bool settle(ConnId conn, PeerState state) SDS_REQUIRES(mu_);
+  /// Signals the waiter if its wait can now end.
+  void wake_if_done() SDS_REQUIRES(mu_);
+  [[nodiscard]] bool done(std::size_t quorum) const SDS_REQUIRES(mu_) {
+    return pending_ == 0 || reply_count_ >= quorum;
+  }
+
   const proto::MessageType type_;
   /// Second accepted reply type, matched like `type_` (a peer answers
   /// with exactly one of the two). Lets one collect gather accept both
@@ -109,14 +140,24 @@ class Gather {
   const std::optional<proto::MessageType> alt_type_;
   const std::optional<std::uint64_t> cycle_;
   const std::vector<ConnId> expected_;
+  /// expected_ sorted by ConnId (entries of one ConnId adjacent).
+  const std::vector<Slot> index_;
   const std::shared_ptr<const GatherTelemetry> telemetry_;
 
   mutable Mutex mu_{LockRank::kRpcGather};
   CondVar cv_;
-  std::unordered_set<ConnId> waiting_ SDS_GUARDED_BY(mu_);
-  std::unordered_set<ConnId> replied_ SDS_GUARDED_BY(mu_);
-  std::vector<Reply> replies_ SDS_GUARDED_BY(mu_);
+  /// One per expected_ entry.
+  std::vector<PeerState> state_ SDS_GUARDED_BY(mu_);
+  /// Distinct peers that neither replied nor failed.
+  std::size_t pending_ SDS_GUARDED_BY(mu_) = 0;
+  std::size_t reply_count_ SDS_GUARDED_BY(mu_) = 0;
   std::size_t failed_ SDS_GUARDED_BY(mu_) = 0;
+  /// Reserved for every expected peer up front.
+  std::vector<Reply> replies_ SDS_GUARDED_BY(mu_);
+  /// A thread is blocked in wait_for() and not yet signalled.
+  bool waiter_ SDS_GUARDED_BY(mu_) = false;
+  /// The quorum that blocked wait_for() recorded.
+  std::size_t quorum_ SDS_GUARDED_BY(mu_) = 0;
 };
 
 /// Routes inbound frames to active gathers; thread-safe.
@@ -132,10 +173,11 @@ class Dispatcher {
   void bind_telemetry(telemetry::MetricsRegistry& registry,
                       telemetry::Labels labels = {}) SDS_EXCLUDES(mu_);
 
-  /// Create and register a gather. Automatically unregistered when the
-  /// returned shared_ptr is the last reference and removed via collect().
-  /// `alt_type` optionally names a second accepted reply type (e.g. a
-  /// collect gather taking kStageMetrics OR kStageMetricsDelta).
+  /// Create and register a gather. It stays registered, and keeps
+  /// receiving frames, until the caller removes it with finish(); every
+  /// start_gather() needs a matching finish(). `alt_type` optionally
+  /// names a second accepted reply type (e.g. a collect gather taking
+  /// kStageMetrics OR kStageMetricsDelta).
   std::shared_ptr<Gather> start_gather(
       proto::MessageType type, std::optional<std::uint64_t> cycle,
       std::vector<ConnId> expected,
@@ -145,7 +187,9 @@ class Dispatcher {
   /// Remove a finished gather.
   void finish(const std::shared_ptr<Gather>& gather) SDS_EXCLUDES(mu_);
 
-  /// Endpoint frame handler: route to a gather or the fallback.
+  /// Endpoint frame handler: route to a gather or the fallback. Frames
+  /// are offered under the registry lock (kRpcDispatcher ranks below
+  /// kRpcGather); a frame no gather takes reaches the fallback whole.
   void on_frame(ConnId conn, wire::Frame frame) SDS_EXCLUDES(mu_);
 
   /// Endpoint connection handler: fail pending gathers on closed conns.

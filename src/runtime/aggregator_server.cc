@@ -182,16 +182,18 @@ void AggregatorServer::serve_collect(proto::CollectRequest request,
   // this aggregator in the stitched trace.
   const auto child_ctx = child_context(ctx, "agg.collect");
   auto gather = dispatcher_.start_gather(proto::MessageType::kStageMetrics,
-                                         request.cycle_id, conns);
+                                         request.cycle_id, std::move(conns));
   // Encode once; every stage connection queues the same shared image.
-  rpc::broadcast(*endpoint_, conns, request, child_ctx);
+  rpc::broadcast(*endpoint_, gather->expected(), request, child_ctx);
   const Status wait = gather->wait_for(options_.phase_timeout);
   if (!wait.is_ok()) {
     SDS_LOG(WARN) << address_ << ": collect incomplete in cycle "
                   << request.cycle_id;
   }
+  const std::vector<rpc::Gather::Reply> replies = gather->take_replies();
   std::vector<proto::StageMetrics> metrics;
-  for (auto& reply : gather->take_replies()) {
+  metrics.reserve(replies.size());
+  for (const auto& reply : replies) {
     auto m = proto::from_frame<proto::StageMetrics>(reply.frame);
     if (m.is_ok()) metrics.push_back(std::move(m).value());
   }
@@ -244,35 +246,41 @@ void AggregatorServer::enforce_rules(
   const Nanos begin = clock_->now();
   const auto child_ctx = child_context(ctx, "agg.enforce");
   ConnId upstream;
-  std::vector<std::pair<ConnId, proto::EnforceBatch>> deliveries;
+  // Each owned rule goes to its stage as a one-rule batch.
+  std::vector<ConnId> conns;
+  std::vector<const proto::Rule*> owned;
+  conns.reserve(rules.size());
+  owned.reserve(rules.size());
   {
     MutexLock lock(mu_);
     upstream = upstream_;
     for (const auto& rule : rules) {
       const core::StageRecord* record = core_.registry().find(rule.stage_id);
       if (record == nullptr) continue;
-      proto::EnforceBatch single;
-      single.cycle_id = cycle_id;
-      single.rules.push_back(rule);
-      deliveries.emplace_back(record->conn, std::move(single));
+      conns.push_back(record->conn);
+      owned.push_back(&rule);
     }
   }
 
-  std::vector<ConnId> conns;
-  conns.reserve(deliveries.size());
-  for (const auto& [conn, _] : deliveries) conns.push_back(conn);
   auto gather = dispatcher_.start_gather(proto::MessageType::kEnforceAck,
-                                         cycle_id, conns);
-  for (const auto& [conn, single] : deliveries) {
-    (void)endpoint_->send(conn, proto::to_frame(single, child_ctx));
+                                         cycle_id, std::move(conns));
+  const std::vector<ConnId>& targets = gather->expected();
+  proto::EnforceBatch single;
+  single.cycle_id = cycle_id;
+  single.rules.resize(1);
+  for (std::size_t i = 0; i < targets.size(); ++i) {
+    single.rules.front() = *owned[i];
+    (void)endpoint_->send(targets[i], proto::to_frame(single, child_ctx));
   }
   const Status wait = gather->wait_for(options_.phase_timeout);
   if (!wait.is_ok()) {
     SDS_LOG(WARN) << address_ << ": enforce incomplete in cycle "
                   << cycle_id;
   }
+  const std::vector<rpc::Gather::Reply> replies = gather->take_replies();
   std::vector<proto::EnforceAck> acks;
-  for (auto& reply : gather->take_replies()) {
+  acks.reserve(replies.size());
+  for (const auto& reply : replies) {
     auto ack = proto::from_frame<proto::EnforceAck>(reply.frame);
     if (ack.is_ok()) acks.push_back(std::move(ack).value());
   }

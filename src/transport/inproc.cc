@@ -1,5 +1,6 @@
 #include "transport/inproc.h"
 
+#include <algorithm>
 #include <deque>
 #include <thread>
 #include <utility>
@@ -77,44 +78,21 @@ class InProcCore : public std::enable_shared_from_this<InProcCore> {
   }
 
   Status send(ConnId conn, wire::Frame frame) {
-    std::shared_ptr<InProcCore> peer;
-    ConnId remote_id;
-    {
-      MutexLock lock(mu_);
-      const auto it = conns_.find(conn);
-      if (it == conns_.end()) return Status::unavailable("connection closed");
-      peer = it->second.core;
-      remote_id = it->second.remote_conn;
-    }
+    Event ev;
+    ev.is_frame = true;
     const std::size_t size = frame.wire_size();
-    if (!peer->enqueue_frame(remote_id, std::move(frame))) {
-      return Status::unavailable("peer shut down");
-    }
-    counters_.on_send(size);
-    peer->counters_.on_receive(size);
-    return Status::ok();
+    ev.frame = std::move(frame);
+    return send_event(conn, std::move(ev), size);
   }
 
   /// Zero-copy send: the queue carries a reference to the shared wire
   /// image; the single payload copy happens on the receiving side at
   /// delivery (the copy a real NIC would make).
   Status send_shared(ConnId conn, const wire::SharedFrame& frame) {
-    std::shared_ptr<InProcCore> peer;
-    ConnId remote_id;
-    {
-      MutexLock lock(mu_);
-      const auto it = conns_.find(conn);
-      if (it == conns_.end()) return Status::unavailable("connection closed");
-      peer = it->second.core;
-      remote_id = it->second.remote_conn;
-    }
-    const std::size_t size = frame.wire_size();
-    if (!peer->enqueue_shared(remote_id, frame)) {
-      return Status::unavailable("peer shut down");
-    }
-    counters_.on_send(size);
-    peer->counters_.on_receive(size);
-    return Status::ok();
+    Event ev;
+    ev.is_frame = true;
+    ev.shared = frame;  // ref-count bump, no payload copy
+    return send_event(conn, std::move(ev), frame.wire_size());
   }
 
   void close(ConnId conn) { close_impl(conn, /*notify_self=*/true); }
@@ -174,20 +152,35 @@ class InProcCore : public std::enable_shared_from_this<InProcCore> {
 
   void release_slot() { slots_.fetch_sub(1, std::memory_order_relaxed); }
 
-  bool enqueue_frame(ConnId conn, wire::Frame frame) {
-    Event ev;
-    ev.conn = conn;
-    ev.is_frame = true;
-    ev.frame = std::move(frame);
-    return queue_.push(std::move(ev));
-  }
-
-  bool enqueue_shared(ConnId conn, const wire::SharedFrame& frame) {
-    Event ev;
-    ev.conn = conn;
-    ev.is_frame = true;
-    ev.shared = frame;  // ref-count bump, no payload copy
-    return queue_.push(std::move(ev));
+  /// Queues a frame event on the peer at once, so it keeps its place
+  /// against every other send on the connection. A send made by a
+  /// handler on this endpoint's own delivery thread does not signal the
+  /// peer: a peer that was asleep is woken once, when the batch returns.
+  Status send_event(ConnId conn, Event ev, std::size_t size) {
+    std::shared_ptr<InProcCore> peer;
+    {
+      MutexLock lock(mu_);
+      const auto it = conns_.find(conn);
+      if (it == conns_.end()) return Status::unavailable("connection closed");
+      peer = it->second.core;
+      ev.conn = it->second.remote_conn;
+    }
+    bool queued = true;
+    if (delivering_ == this) {
+      const QuietPush pushed = peer->queue_.push_quiet(std::move(ev));
+      queued = pushed != QuietPush::kRejected;
+      if (pushed == QuietPush::kWakeOwed &&
+          std::find(wake_after_batch_.begin(), wake_after_batch_.end(),
+                    peer) == wake_after_batch_.end()) {
+        wake_after_batch_.push_back(peer);
+      }
+    } else {
+      queued = peer->queue_.push(std::move(ev));
+    }
+    if (!queued) return Status::unavailable("peer shut down");
+    counters_.on_send(size);
+    peer->counters_.on_receive(size);
+    return Status::ok();
   }
 
   void enqueue_conn_event(ConnId conn, ConnEvent event) {
@@ -226,8 +219,11 @@ class InProcCore : public std::enable_shared_from_this<InProcCore> {
 
   /// Takes everything queued at each wake-up in one swap and copies the
   /// handlers once per batch; events keep their queue order, so frames
-  /// stay FIFO per connection and connection events stay in place.
+  /// stay FIFO per connection and connection events stay in place. Peers
+  /// that the batch's handlers sent to while they slept are woken once,
+  /// after the batch.
   void delivery_loop() {
+    delivering_ = this;
     std::deque<Event> batch;
     while (queue_.pop_all(batch)) {
       FrameHandler frame_handler;
@@ -254,8 +250,13 @@ class InProcCore : public std::enable_shared_from_this<InProcCore> {
           conn_handler(ev.conn, ev.conn_event);
         }
       }
+      for (const auto& peer : wake_after_batch_) peer->queue_.wake();
+      wake_after_batch_.clear();
     }
   }
+
+  /// The endpoint whose delivery loop runs on this thread, if any.
+  static thread_local const InProcCore* delivering_;
 
   InProcNetwork* network_;
   const std::string address_;
@@ -267,12 +268,17 @@ class InProcCore : public std::enable_shared_from_this<InProcCore> {
   std::unordered_map<ConnId, Peer> conns_ SDS_GUARDED_BY(mu_);
 
   Queue<Event> queue_;
+  /// Peers owed a wake-up at the end of the current batch; touched only
+  /// by the delivery thread.
+  std::vector<std::shared_ptr<InProcCore>> wake_after_batch_;
   std::thread delivery_thread_;
   std::atomic<std::uint64_t> next_conn_{1};
   std::atomic<std::size_t> slots_{0};
   std::atomic<bool> closed_{false};
   CounterBlock counters_;
 };
+
+thread_local const InProcCore* InProcCore::delivering_ = nullptr;
 
 namespace {
 

@@ -8,6 +8,10 @@
 // `ConnEventHandler` from a single delivery thread per endpoint, so
 // handler code needs no internal locking against itself. `send()` is
 // thread-safe and non-blocking (frames are queued for transmission).
+// A handler's own sends go out when its batch of deliveries returns:
+// TCP writes them then, and the in-process transport queues them at
+// once but wakes the peer then. A handler must therefore not block
+// waiting for a reply to its own send.
 //
 // Connection caps: every endpoint enforces `max_connections` across
 // inbound + outbound connections. This models the physical limit the

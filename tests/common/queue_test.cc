@@ -3,12 +3,26 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <deque>
 #include <thread>
 #include <vector>
 
 namespace sds {
 namespace {
+
+/// Spins until `pred` holds; false after a 10 s deadline, so a lost
+/// wake-up fails the test instead of hanging it.
+template <typename Pred>
+bool spin_until(Pred pred) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (!pred()) {
+    if (std::chrono::steady_clock::now() > deadline) return false;
+    std::this_thread::yield();
+  }
+  return true;
+}
 
 TEST(QueueTest, PushPopSingleThread) {
   Queue<int> q;
@@ -140,6 +154,97 @@ TEST(QueueTest, MpmcStressPreservesAllItems) {
   const long long total = kProducers * kPerProducer;
   EXPECT_EQ(consumed.load(), total);
   EXPECT_EQ(sum.load(), total * (total - 1) / 2);
+}
+
+TEST(QueueTest, QuietPushWithoutSleeperOwesNothing) {
+  Queue<int> q;
+  EXPECT_EQ(q.push_quiet(1), QuietPush::kQueued);
+  EXPECT_TRUE(q.push(2));
+  EXPECT_EQ(q.push_quiet(3), QuietPush::kQueued);
+  std::deque<int> batch;
+  ASSERT_TRUE(q.pop_all(batch));
+  EXPECT_EQ(batch, (std::deque<int>{1, 2, 3}));  // quiet pushes keep order
+  q.wake();  // nobody asleep: a no-op
+}
+
+TEST(QueueTest, QuietPushRejectedWhenClosedOrFull) {
+  Queue<int> bounded(1);
+  EXPECT_EQ(bounded.push_quiet(1), QuietPush::kQueued);
+  EXPECT_EQ(bounded.push_quiet(2), QuietPush::kRejected);
+  bounded.close();
+  EXPECT_EQ(bounded.push_quiet(3), QuietPush::kRejected);
+  EXPECT_EQ(bounded.pop(), 1);
+  EXPECT_EQ(bounded.pop(), std::nullopt);
+}
+
+TEST(QueueTest, QuietPushLeavesSleeperAsleepUntilWake) {
+  Queue<int> q;
+  std::atomic<int> taken{0};
+  std::thread consumer([&] {
+    std::deque<int> batch;
+    while (q.pop_all(batch)) {
+      taken.fetch_add(static_cast<int>(batch.size()));
+    }
+  });
+  // Push quietly until a push finds the consumer blocked; every earlier
+  // item is one the consumer was awake to take by itself.
+  int pushed = 0;
+  bool owed = false;
+  while (!owed) {
+    const QuietPush result = q.push_quiet(pushed++);
+    EXPECT_NE(result, QuietPush::kRejected);
+    owed = result == QuietPush::kWakeOwed;
+    if (!owed && !spin_until([&] { return taken.load() == pushed; })) break;
+  }
+  EXPECT_TRUE(owed);
+  // The owed item waits for wake(); the consumer was never signalled.
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_EQ(taken.load(), pushed - 1);
+  q.wake();
+  EXPECT_TRUE(spin_until([&] { return taken.load() == pushed; }));
+  q.close();
+  consumer.join();
+  EXPECT_EQ(taken.load(), pushed);
+}
+
+TEST(QueueTest, QuietBurstsFromManyProducersAllArrive) {
+  // Producers batch their wake-ups as in-process delivery threads do:
+  // quiet pushes, then one wake() per burst if any push owed it.
+  Queue<int> q;
+  constexpr int kProducers = 4;
+  constexpr int kBursts = 200;
+  constexpr int kPerBurst = 25;
+  std::atomic<long long> sum{0};
+  std::atomic<int> consumed{0};
+  std::thread consumer([&] {
+    std::deque<int> batch;
+    while (q.pop_all(batch)) {
+      for (const int item : batch) sum.fetch_add(item);
+      consumed.fetch_add(static_cast<int>(batch.size()));
+    }
+  });
+  std::vector<std::thread> producers;
+  for (int p = 0; p < kProducers; ++p) {
+    producers.emplace_back([&, p] {
+      int next = p * kBursts * kPerBurst;
+      for (int b = 0; b < kBursts; ++b) {
+        bool owed = false;
+        for (int i = 0; i < kPerBurst; ++i) {
+          owed |= q.push_quiet(next++) == QuietPush::kWakeOwed;
+        }
+        if (owed) q.wake();
+      }
+    });
+  }
+  for (auto& t : producers) t.join();
+  constexpr int kTotal = kProducers * kBursts * kPerBurst;
+  // Every burst woke what it owed, so the consumer drains it all
+  // before close() could wake it.
+  EXPECT_TRUE(spin_until([&] { return consumed.load() == kTotal; }));
+  q.close();
+  consumer.join();
+  EXPECT_EQ(consumed.load(), kTotal);
+  EXPECT_EQ(sum.load(), static_cast<long long>(kTotal) * (kTotal - 1) / 2);
 }
 
 }  // namespace

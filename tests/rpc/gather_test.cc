@@ -3,9 +3,30 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdlib>
+#include <future>
+#include <new>
 #include <thread>
 
+#include "telemetry/metrics.h"
 #include "transport/inproc.h"
+
+// Counts this thread's heap allocations, so a test can assert that a
+// code path allocates nothing. Kept out of line: once inlined next to a
+// new-expression, GCC reads the free() as a mismatched deallocation.
+namespace {
+thread_local std::size_t t_allocations = 0;
+}  // namespace
+
+[[gnu::noinline]] void* operator new(std::size_t size) {
+  ++t_allocations;
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
 
 namespace sds::rpc {
 namespace {
@@ -16,6 +37,17 @@ wire::Frame metrics_frame(std::uint64_t cycle, StageId stage) {
   m.stage_id = stage;
   m.job_id = JobId{0};
   return proto::to_frame(m);
+}
+
+/// Offers a fresh frame; a refused one is dropped.
+bool offer(Gather& gather, ConnId conn, wire::Frame frame) {
+  return gather.offer(conn, frame);
+}
+
+std::vector<ConnId> conn_range(std::size_t n) {
+  std::vector<ConnId> conns;
+  for (std::size_t i = 0; i < n; ++i) conns.push_back(ConnId{1000 + i});
+  return conns;
 }
 
 TEST(PeekCycleIdTest, ReadsLeadingVarint) {
@@ -33,43 +65,43 @@ TEST(GatherTest, CompletesWhenAllReplyArrive) {
   Gather gather(proto::MessageType::kStageMetrics, 7,
                 {ConnId{1}, ConnId{2}, ConnId{3}});
   EXPECT_EQ(gather.pending(), 3u);
-  EXPECT_TRUE(gather.offer(ConnId{1}, metrics_frame(7, StageId{1})));
-  EXPECT_TRUE(gather.offer(ConnId{2}, metrics_frame(7, StageId{2})));
-  EXPECT_TRUE(gather.offer(ConnId{3}, metrics_frame(7, StageId{3})));
+  EXPECT_TRUE(offer(gather, ConnId{1}, metrics_frame(7, StageId{1})));
+  EXPECT_TRUE(offer(gather, ConnId{2}, metrics_frame(7, StageId{2})));
+  EXPECT_TRUE(offer(gather, ConnId{3}, metrics_frame(7, StageId{3})));
   EXPECT_TRUE(gather.wait_for(millis(10)).is_ok());
   EXPECT_EQ(gather.take_replies().size(), 3u);
 }
 
 TEST(GatherTest, RejectsWrongType) {
   Gather gather(proto::MessageType::kEnforceAck, 7, {ConnId{1}});
-  EXPECT_FALSE(gather.offer(ConnId{1}, metrics_frame(7, StageId{1})));
+  EXPECT_FALSE(offer(gather, ConnId{1}, metrics_frame(7, StageId{1})));
 }
 
 TEST(GatherTest, RejectsWrongCycle) {
   Gather gather(proto::MessageType::kStageMetrics, 7, {ConnId{1}});
-  EXPECT_FALSE(gather.offer(ConnId{1}, metrics_frame(8, StageId{1})));
+  EXPECT_FALSE(offer(gather, ConnId{1}, metrics_frame(8, StageId{1})));
 }
 
 TEST(GatherTest, RejectsUnexpectedConn) {
   Gather gather(proto::MessageType::kStageMetrics, 7, {ConnId{1}});
-  EXPECT_FALSE(gather.offer(ConnId{99}, metrics_frame(7, StageId{1})));
+  EXPECT_FALSE(offer(gather, ConnId{99}, metrics_frame(7, StageId{1})));
 }
 
 TEST(GatherTest, DuplicateReplyConsumedOnce) {
   Gather gather(proto::MessageType::kStageMetrics, 7, {ConnId{1}, ConnId{2}});
-  EXPECT_TRUE(gather.offer(ConnId{1}, metrics_frame(7, StageId{1})));
-  EXPECT_FALSE(gather.offer(ConnId{1}, metrics_frame(7, StageId{1})));
+  EXPECT_TRUE(offer(gather, ConnId{1}, metrics_frame(7, StageId{1})));
+  EXPECT_FALSE(offer(gather, ConnId{1}, metrics_frame(7, StageId{1})));
   EXPECT_EQ(gather.pending(), 1u);
 }
 
 TEST(GatherTest, NoCycleFilterAcceptsAny) {
   Gather gather(proto::MessageType::kStageMetrics, std::nullopt, {ConnId{1}});
-  EXPECT_TRUE(gather.offer(ConnId{1}, metrics_frame(999, StageId{1})));
+  EXPECT_TRUE(offer(gather, ConnId{1}, metrics_frame(999, StageId{1})));
 }
 
 TEST(GatherTest, TimesOutWithMissingReplies) {
   Gather gather(proto::MessageType::kStageMetrics, 7, {ConnId{1}, ConnId{2}});
-  EXPECT_TRUE(gather.offer(ConnId{1}, metrics_frame(7, StageId{1})));
+  EXPECT_TRUE(offer(gather, ConnId{1}, metrics_frame(7, StageId{1})));
   const Status status = gather.wait_for(millis(20));
   EXPECT_EQ(status.code(), StatusCode::kDeadlineExceeded);
   EXPECT_EQ(gather.take_replies().size(), 1u);  // partial results available
@@ -77,7 +109,7 @@ TEST(GatherTest, TimesOutWithMissingReplies) {
 
 TEST(GatherTest, FailedConnUnblocksWait) {
   Gather gather(proto::MessageType::kStageMetrics, 7, {ConnId{1}, ConnId{2}});
-  EXPECT_TRUE(gather.offer(ConnId{1}, metrics_frame(7, StageId{1})));
+  EXPECT_TRUE(offer(gather, ConnId{1}, metrics_frame(7, StageId{1})));
   gather.fail(ConnId{2});
   const Status status = gather.wait_for(millis(10));
   EXPECT_EQ(status.code(), StatusCode::kUnavailable);
@@ -87,8 +119,8 @@ TEST(GatherTest, FailedConnUnblocksWait) {
 TEST(GatherTest, QuorumReturnsBeforeStragglers) {
   Gather gather(proto::MessageType::kStageMetrics, 7,
                 {ConnId{1}, ConnId{2}, ConnId{3}});
-  EXPECT_TRUE(gather.offer(ConnId{1}, metrics_frame(7, StageId{1})));
-  EXPECT_TRUE(gather.offer(ConnId{2}, metrics_frame(7, StageId{2})));
+  EXPECT_TRUE(offer(gather, ConnId{1}, metrics_frame(7, StageId{1})));
+  EXPECT_TRUE(offer(gather, ConnId{2}, metrics_frame(7, StageId{2})));
   // Quorum of 2 is already met: returns OK without waiting out the
   // deadline even though ConnId{3} never answers.
   EXPECT_TRUE(gather.wait_for(seconds(10), 2).is_ok());
@@ -104,7 +136,7 @@ TEST(GatherTest, QuorumReturnsBeforeStragglers) {
 TEST(GatherTest, QuorumStillTimesOutBelowThreshold) {
   Gather gather(proto::MessageType::kStageMetrics, 7,
                 {ConnId{1}, ConnId{2}, ConnId{3}});
-  EXPECT_TRUE(gather.offer(ConnId{1}, metrics_frame(7, StageId{1})));
+  EXPECT_TRUE(offer(gather, ConnId{1}, metrics_frame(7, StageId{1})));
   const Status status = gather.wait_for(millis(20), 2);
   EXPECT_EQ(status.code(), StatusCode::kDeadlineExceeded);
   EXPECT_EQ(gather.missing(), 2u);
@@ -116,8 +148,8 @@ TEST(GatherTest, QuorumUnblocksFromAnotherThread) {
                 {ConnId{1}, ConnId{2}, ConnId{3}});
   std::thread replier([&] {
     std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    gather.offer(ConnId{1}, metrics_frame(7, StageId{1}));
-    gather.offer(ConnId{2}, metrics_frame(7, StageId{2}));
+    offer(gather, ConnId{1}, metrics_frame(7, StageId{1}));
+    offer(gather, ConnId{2}, metrics_frame(7, StageId{2}));
   });
   EXPECT_TRUE(gather.wait_for(seconds(5), 2).is_ok());
   EXPECT_EQ(gather.missing(), 1u);
@@ -133,10 +165,149 @@ TEST(GatherTest, WaitUnblocksFromAnotherThread) {
   Gather gather(proto::MessageType::kStageMetrics, 7, {ConnId{1}});
   std::thread replier([&] {
     std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    gather.offer(ConnId{1}, metrics_frame(7, StageId{1}));
+    offer(gather, ConnId{1}, metrics_frame(7, StageId{1}));
   });
   EXPECT_TRUE(gather.wait_for(seconds(2)).is_ok());
   replier.join();
+}
+
+TEST(GatherTest, RefusedFrameKeepsItsPayload) {
+  Gather gather(proto::MessageType::kStageMetrics, 7, {ConnId{1}});
+  const wire::Frame original = metrics_frame(7, StageId{1});
+  wire::Frame wrong_type = original;
+  wrong_type.type = static_cast<std::uint16_t>(proto::MessageType::kEnforceAck);
+  wire::Frame wrong_cycle = metrics_frame(8, StageId{1});
+  const wire::Frame wrong_cycle_copy = wrong_cycle;
+  wire::Frame unknown_peer = original;
+  EXPECT_FALSE(gather.offer(ConnId{1}, wrong_type));
+  EXPECT_EQ(wrong_type.payload, original.payload);
+  EXPECT_FALSE(gather.offer(ConnId{1}, wrong_cycle));
+  EXPECT_EQ(wrong_cycle.payload, wrong_cycle_copy.payload);
+  EXPECT_FALSE(gather.offer(ConnId{99}, unknown_peer));
+  EXPECT_EQ(unknown_peer.payload, original.payload);
+
+  wire::Frame first = original;
+  EXPECT_TRUE(gather.offer(ConnId{1}, first));
+  wire::Frame duplicate = original;
+  EXPECT_FALSE(gather.offer(ConnId{1}, duplicate));
+  EXPECT_EQ(duplicate.payload, original.payload);
+  const auto replies = gather.take_replies();
+  ASSERT_EQ(replies.size(), 1u);
+  EXPECT_EQ(replies[0].frame.payload, original.payload);
+}
+
+TEST(GatherTest, DuplicateExpectedConnIsOnePeer) {
+  Gather gather(proto::MessageType::kStageMetrics, 7,
+                {ConnId{1}, ConnId{2}, ConnId{1}});
+  EXPECT_EQ(gather.pending(), 2u);
+  EXPECT_TRUE(offer(gather, ConnId{1}, metrics_frame(7, StageId{1})));
+  EXPECT_FALSE(offer(gather, ConnId{1}, metrics_frame(7, StageId{1})));
+  EXPECT_EQ(gather.pending(), 1u);
+  EXPECT_EQ(gather.reply_bitmap(), (std::vector<bool>{true, false, true}));
+  EXPECT_TRUE(offer(gather, ConnId{2}, metrics_frame(7, StageId{2})));
+  EXPECT_TRUE(gather.wait_for(Nanos{0}).is_ok());
+  EXPECT_EQ(gather.reply_count(), 2u);
+  EXPECT_EQ(gather.reply_bitmap(), (std::vector<bool>{true, true, true}));
+  EXPECT_EQ(gather.take_replies().size(), 2u);
+}
+
+TEST(GatherTest, FailedDuplicateConnSettlesEveryEntry) {
+  Gather gather(proto::MessageType::kStageMetrics, 7,
+                {ConnId{1}, ConnId{2}, ConnId{1}});
+  gather.fail(ConnId{1});
+  gather.fail(ConnId{1});  // already settled: counted once
+  EXPECT_TRUE(offer(gather, ConnId{2}, metrics_frame(7, StageId{2})));
+  EXPECT_EQ(gather.wait_for(Nanos{0}).code(), StatusCode::kUnavailable);
+  EXPECT_EQ(gather.reply_bitmap(), (std::vector<bool>{false, true, false}));
+  EXPECT_FALSE(offer(gather, ConnId{1}, metrics_frame(7, StageId{1})));
+}
+
+/// A 2,500-peer gather (the paper's per-node connection cap) with the
+/// gather instruments bound, as the live servers run it.
+struct InstrumentedGather {
+  static constexpr std::size_t kPeers = 2'500;
+
+  InstrumentedGather() {
+    dispatcher.bind_telemetry(registry);
+    gather = dispatcher.start_gather(proto::MessageType::kStageMetrics, 7,
+                                     conn_range(kPeers));
+    for (std::size_t i = 0; i < kPeers; ++i) {
+      frames.push_back(metrics_frame(7, StageId{static_cast<std::uint32_t>(i)}));
+    }
+  }
+
+  std::uint64_t wakeups() {
+    return registry.counter("sds_rpc_gather_wakeups_total")->value();
+  }
+
+  /// Routes replies [from, to) through the dispatcher.
+  void feed(std::size_t from, std::size_t to) {
+    for (std::size_t i = from; i < to; ++i) {
+      dispatcher.on_frame(gather->expected()[i], std::move(frames[i]));
+    }
+  }
+
+  telemetry::MetricsRegistry registry;
+  Dispatcher dispatcher;
+  std::shared_ptr<Gather> gather;
+  std::vector<wire::Frame> frames;
+};
+
+// The feeding thread starts after a pause, so the waiter (this thread)
+// is already blocked in wait_for() when the replies arrive.
+constexpr auto kLetWaiterBlock = std::chrono::milliseconds(100);
+
+TEST(GatherWakeTest, FullWaveWakesWaiterOnce) {
+  InstrumentedGather rig;
+  std::thread feeder([&] {
+    std::this_thread::sleep_for(kLetWaiterBlock);
+    rig.feed(0, InstrumentedGather::kPeers);
+  });
+  EXPECT_TRUE(rig.gather->wait_for(seconds(10)).is_ok());
+  feeder.join();
+  EXPECT_EQ(rig.gather->reply_count(), InstrumentedGather::kPeers);
+  EXPECT_EQ(rig.wakeups(), 1u);
+  rig.dispatcher.finish(rig.gather);
+}
+
+TEST(GatherWakeTest, QuorumWaitWakesOnceAtQuorum) {
+  InstrumentedGather rig;
+  constexpr std::size_t kQuorum = InstrumentedGather::kPeers / 2;
+  std::promise<std::size_t> seen_at_wake;
+  std::thread feeder([&] {
+    std::this_thread::sleep_for(kLetWaiterBlock);
+    rig.feed(0, kQuorum);
+    // Stragglers arrive only after the waiter returned.
+    const std::size_t seen = seen_at_wake.get_future().get();
+    EXPECT_EQ(seen, kQuorum);
+    rig.feed(kQuorum, InstrumentedGather::kPeers);
+  });
+  EXPECT_TRUE(rig.gather->wait_for(seconds(10), kQuorum).is_ok());
+  seen_at_wake.set_value(rig.gather->reply_count());
+  feeder.join();
+  EXPECT_EQ(rig.gather->missing(), 0u);
+  EXPECT_EQ(rig.wakeups(), 1u);  // completion after quorum wakes nobody
+  rig.dispatcher.finish(rig.gather);
+}
+
+TEST(GatherWakeTest, RepliesBeforeTheWaitWakeNobody) {
+  InstrumentedGather rig;
+  rig.feed(0, InstrumentedGather::kPeers);
+  EXPECT_TRUE(rig.gather->wait_for(Nanos{0}).is_ok());
+  EXPECT_EQ(rig.wakeups(), 0u);
+  rig.dispatcher.finish(rig.gather);
+}
+
+TEST(GatherWakeTest, AcceptedRepliesAllocateNothing) {
+  InstrumentedGather rig;
+  // A refused frame takes both locks once, so builds with lock-order
+  // checks size their per-thread held-lock stack before the count.
+  rig.dispatcher.on_frame(ConnId{1}, metrics_frame(7, StageId{0}));
+  const std::size_t before = t_allocations;
+  rig.feed(0, InstrumentedGather::kPeers);
+  EXPECT_EQ(t_allocations - before, 0u);
+  EXPECT_EQ(rig.gather->pending(), 0u);
+  rig.dispatcher.finish(rig.gather);
 }
 
 TEST(DispatcherTest, RoutesToMatchingGather) {
@@ -153,14 +324,24 @@ TEST(DispatcherTest, RoutesToMatchingGather) {
 
 TEST(DispatcherTest, UnmatchedFramesFallThrough) {
   Dispatcher dispatcher;
-  std::atomic<int> fallback_hits{0};
-  dispatcher.set_fallback([&](ConnId, wire::Frame) { fallback_hits.fetch_add(1); });
+  std::vector<wire::Frame> fallen;
+  dispatcher.set_fallback(
+      [&](ConnId, wire::Frame frame) { fallen.push_back(std::move(frame)); });
 
   auto gather = dispatcher.start_gather(proto::MessageType::kStageMetrics, 7,
                                         {ConnId{1}});
-  dispatcher.on_frame(ConnId{1}, metrics_frame(8, StageId{1}));  // wrong cycle
-  dispatcher.on_frame(ConnId{2}, metrics_frame(7, StageId{2}));  // wrong conn
-  EXPECT_EQ(fallback_hits.load(), 2);
+  const wire::Frame wrong_cycle = metrics_frame(8, StageId{1});
+  const wire::Frame wrong_conn = metrics_frame(7, StageId{2});
+  const wire::Frame reply = metrics_frame(7, StageId{1});
+  dispatcher.on_frame(ConnId{1}, wrong_cycle);
+  dispatcher.on_frame(ConnId{2}, wrong_conn);
+  dispatcher.on_frame(ConnId{1}, reply);
+  dispatcher.on_frame(ConnId{1}, reply);  // duplicate
+  // The fallback gets each refused frame whole.
+  ASSERT_EQ(fallen.size(), 3u);
+  EXPECT_EQ(fallen[0].payload, wrong_cycle.payload);
+  EXPECT_EQ(fallen[1].payload, wrong_conn.payload);
+  EXPECT_EQ(fallen[2].payload, reply.payload);
   dispatcher.finish(gather);
 }
 

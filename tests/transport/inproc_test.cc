@@ -299,5 +299,109 @@ TEST(InProcTest, BatchedDeliveryKeepsSendOrderAndClosesLast) {
   EXPECT_EQ(events.back(), kClosedMark);
 }
 
+// Each test below runs its handler on a's delivery thread by sending a
+// trigger frame over a self-connection of a.
+
+TEST(InProcHandlerSendTest, HandlerSendKeepsOrderAgainstOtherThreads) {
+  // Frames seen by b, written on b's delivery thread only.
+  std::vector<std::uint16_t> seen;
+  std::promise<void> both_seen;
+  std::promise<void> release;
+  std::promise<void> second_sent;
+  InProcNetwork net;
+  auto a = net.bind("a", {}).value();
+  auto b = net.bind("b", {}).value();
+  b->set_frame_handler([&](ConnId, wire::Frame f) {
+    seen.push_back(f.type);
+    if (seen.size() == 2) both_seen.set_value();
+  });
+  ConnId conn;
+  a->set_frame_handler([&](ConnId, wire::Frame) {
+    // On a's delivery thread: frame 1, then hand over to another thread
+    // and wait until its frame 2 is queued before the batch returns.
+    ASSERT_TRUE(a->send(conn, test_frame(1)).is_ok());
+    release.set_value();
+    second_sent.get_future().wait();
+  });
+  conn = a->connect("b").value();
+  std::thread other([&] {
+    release.get_future().wait();
+    EXPECT_TRUE(a->send(conn, test_frame(2)).is_ok());
+    second_sent.set_value();
+  });
+  const ConnId self = a->connect("a").value();  // reaches a's handler
+  ASSERT_TRUE(a->send(self, test_frame(9)).is_ok());
+  ASSERT_EQ(both_seen.get_future().wait_for(10s), std::future_status::ready);
+  other.join();
+  EXPECT_EQ(seen, (std::vector<std::uint16_t>{1, 2}));
+}
+
+TEST(InProcHandlerSendTest, HandlerBurstReachesTwoIdlePeers) {
+  constexpr int kBurst = 10'000;
+  std::atomic<int> at_b{0};
+  std::atomic<int> at_c{0};
+  std::promise<void> b_done;
+  std::promise<void> c_done;
+  InProcNetwork net;
+  auto a = net.bind("a", {}).value();
+  auto b = net.bind("b", {}).value();
+  auto c = net.bind("c", {}).value();
+  // Frames carry their index, so the counts also check order.
+  b->set_frame_handler([&](ConnId, wire::Frame f) {
+    EXPECT_EQ(f.type, at_b.load());
+    if (at_b.fetch_add(1) + 1 == kBurst) b_done.set_value();
+  });
+  c->set_frame_handler([&](ConnId, wire::Frame f) {
+    EXPECT_EQ(f.type, at_c.load());
+    if (at_c.fetch_add(1) + 1 == kBurst) c_done.set_value();
+  });
+  ConnId to_b;
+  ConnId to_c;
+  a->set_frame_handler([&](ConnId, wire::Frame) {
+    for (int i = 0; i < kBurst; ++i) {
+      const auto type = static_cast<std::uint16_t>(i);
+      ASSERT_TRUE(a->send(to_b, test_frame(type)).is_ok());
+      ASSERT_TRUE(a->send(to_c, test_frame(type)).is_ok());
+    }
+  });
+  to_b = a->connect("b").value();
+  to_c = a->connect("c").value();
+  // Let b and c fall asleep on empty queues before the burst.
+  std::this_thread::sleep_for(20ms);
+  const ConnId self = a->connect("a").value();
+  ASSERT_TRUE(a->send(self, test_frame(0)).is_ok());
+  ASSERT_EQ(b_done.get_future().wait_for(10s), std::future_status::ready);
+  ASSERT_EQ(c_done.get_future().wait_for(10s), std::future_status::ready);
+  EXPECT_EQ(at_b.load(), kBurst);
+  EXPECT_EQ(at_c.load(), kBurst);
+}
+
+TEST(InProcHandlerSendTest, HandlerSendThenCloseDeliversFrameFirst) {
+  constexpr int kClosedMark = -1;
+  // Written on b's delivery thread only, read after `done`.
+  std::vector<int> events;
+  std::promise<void> done;
+  InProcNetwork net;
+  auto a = net.bind("a", {}).value();
+  auto b = net.bind("b", {}).value();
+  b->set_frame_handler(
+      [&](ConnId, wire::Frame f) { events.push_back(f.type); });
+  b->set_conn_handler([&](ConnId, ConnEvent e) {
+    if (e != ConnEvent::kClosed) return;
+    events.push_back(kClosedMark);
+    done.set_value();
+  });
+  ConnId conn;
+  a->set_frame_handler([&](ConnId, wire::Frame) {
+    ASSERT_TRUE(a->send(conn, test_frame(5)).is_ok());
+    a->close(conn);
+  });
+  conn = a->connect("b").value();
+  const ConnId self = a->connect("a").value();
+  ASSERT_TRUE(a->send(self, test_frame(0)).is_ok());
+  ASSERT_EQ(done.get_future().wait_for(10s), std::future_status::ready);
+  EXPECT_EQ(events, (std::vector<int>{5, kClosedMark}));
+}
+
 }  // namespace
 }  // namespace sds::transport
