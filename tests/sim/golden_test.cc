@@ -192,10 +192,12 @@ void expect_golden(const ExperimentConfig& config, std::uint64_t want) {
   }
 }
 
+constexpr std::uint64_t kFlat120Seed42 = 0x8cae02770d681904ull;
 constexpr std::uint64_t kHier250Seed42 = 0x79068e8b6e852de3ull;
+constexpr std::uint64_t kDeep200Seed42 = 0x5dc1442a3e042775ull;
 
 TEST(GoldenTest, Flat120Seed42) {
-  expect_golden(topology(120, 0, 0, 0, 42), 0x8cae02770d681904ull);
+  expect_golden(topology(120, 0, 0, 0, 42), kFlat120Seed42);
 }
 
 TEST(GoldenTest, Flat120Seed7) {
@@ -211,7 +213,7 @@ TEST(GoldenTest, Hier250x7Seed7) {
 }
 
 TEST(GoldenTest, Deep200x8x2Seed42) {
-  expect_golden(topology(200, 8, 2, 0, 42), 0x5dc1442a3e042775ull);
+  expect_golden(topology(200, 8, 2, 0, 42), kDeep200Seed42);
 }
 
 TEST(GoldenTest, Deep200x8x2Seed7) {
@@ -266,6 +268,68 @@ TEST(GoldenTest, HierWithCyclePeriodSampled) {
 
 TEST(GoldenTest, CoordinatedWithCyclePeriodSampled) {
   expect_golden(sampled(coordinated_periodic()), 0x03764b7d40e51461ull);
+}
+
+/// The hierarchical 250x7 run with its per-node policies changed: serial
+/// fan-out, pass-through relays and local decisions, alone and combined.
+ExperimentConfig hier_policy(bool preaggregate, bool parallel_fanout,
+                             bool local_decisions) {
+  ExperimentConfig config = topology(250, 7, 0, 0, 42);
+  config.preaggregate = preaggregate;
+  config.parallel_fanout = parallel_fanout;
+  config.local_decisions = local_decisions;
+  return config;
+}
+
+TEST(GoldenTest, HierSerialFanout) {
+  expect_golden(hier_policy(true, false, false), 0x73bc0f946257067cull);
+}
+
+TEST(GoldenTest, HierPassThrough) {
+  expect_golden(hier_policy(false, true, false), 0x1886f83e249aea2full);
+}
+
+TEST(GoldenTest, HierPassThroughSerial) {
+  expect_golden(hier_policy(false, false, false), 0x643adf684c419375ull);
+}
+
+TEST(GoldenTest, HierLocalDecisions) {
+  expect_golden(hier_policy(true, true, true), 0x5bee279ba26e4a90ull);
+}
+
+TEST(GoldenTest, HierLocalDecisionsSerial) {
+  expect_golden(hier_policy(true, false, true), 0x7949e353bcfb0862ull);
+}
+
+TEST(GoldenTest, DeepDeltaCollect) {
+  ExperimentConfig config = delta(200, 8);
+  config.num_super_aggregators = 2;
+  expect_golden(config, 0x5d3409b7af057952ull);
+}
+
+/// The batch collect path (what fault plans still run on) reproduces the
+/// store path's results on every tree shape.
+ExperimentConfig batch(ExperimentConfig config) {
+  config.store_collect = false;
+  return config;
+}
+
+TEST(GoldenTest, FlatBatchPathMatchesStorePath) {
+  expect_golden(batch(topology(120, 0, 0, 0, 42)), kFlat120Seed42);
+}
+
+TEST(GoldenTest, HierBatchPathMatchesStorePath) {
+  expect_golden(batch(topology(250, 7, 0, 0, 42)), kHier250Seed42);
+}
+
+TEST(GoldenTest, DeepBatchPathMatchesStorePath) {
+  expect_golden(batch(topology(200, 8, 2, 0, 42)), kDeep200Seed42);
+}
+
+TEST(GoldenTest, FlatFullRecomputeMatchesIncremental) {
+  ExperimentConfig config = topology(120, 0, 0, 0, 42);
+  config.psfa_full_recompute = true;
+  expect_golden(config, kFlat120Seed42);
 }
 
 TEST(GoldenTest, TelemetrySinksLeaveHashUnchanged) {
