@@ -7,6 +7,9 @@
 //                                  speedup ratio is measured, not claimed.
 //   codec.encode_msgs_per_sec    — StageMetrics encode into pooled
 //   codec.decode_msgs_per_sec      SharedFrame images / decode back.
+//   stage.token_bucket_admits_per_sec — TokenBucket::try_acquire, the
+//                                  per-operation admission check of a
+//                                  data-plane stage (ungated).
 //   sim.cycles_per_sec           — end-to-end control cycles at N=500.
 //   sim.tracing.overhead_pct     — the same cycles under 4 aggregators,
 //                                  serial vs traced (median of pairs).
@@ -32,6 +35,7 @@
 #include "proto/messages.h"
 #include "sim/engine.h"
 #include "sim/experiment.h"
+#include "stage/token_bucket.h"
 #include "telemetry/flight_recorder.h"
 #include "telemetry/span_tracer.h"
 #include "wire/shared_frame.h"
@@ -395,6 +399,20 @@ std::string format(const char* fmt, double a, double b) {
   return buf;
 }
 
+// One admission check per simulated 100 ns against a bucket whose rate
+// keeps up, so every call refills and admits: the steady-state fast path.
+double token_bucket_admits_per_sec(std::uint64_t total) {
+  sds::stage::TokenBucket bucket(1e9, 1e6, Nanos{0});
+  Nanos now{0};
+  std::uint64_t admitted = 0;
+  const auto start = std::chrono::steady_clock::now();
+  for (std::uint64_t i = 0; i < total; ++i) {
+    now += Nanos{100};
+    if (bucket.try_acquire(1.0, now)) ++admitted;
+  }
+  return static_cast<double>(admitted) / seconds_since(start);
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -430,6 +448,9 @@ int main(int argc, char** argv) {
   std::printf("codec.decode_msgs_per_sec     %12.0f\n", dec);
   std::printf("codec.delta_encode_msgs_per_sec %10.0f\n", denc);
   std::printf("codec.delta_decode_msgs_per_sec %10.0f\n", ddec);
+
+  const double admits = token_bucket_admits_per_sec(codec_msgs * 10);
+  std::printf("stage.token_bucket_admits_per_sec %8.0f\n", admits);
 
   const double cycles = sim_cycles_per_sec(sim_duration);
   std::printf("sim.cycles_per_sec            %12.2f\n", cycles);
@@ -550,6 +571,9 @@ int main(int argc, char** argv) {
                  "    \"delta_encode_msgs_per_sec\": %.0f,\n"
                  "    \"delta_decode_msgs_per_sec\": %.0f\n"
                  "  },\n"
+                 "  \"stage\": {\n"
+                 "    \"token_bucket_admits_per_sec\": %.0f\n"
+                 "  },\n"
                  "  \"sim\": {\n"
                  "    \"num_stages\": 500,\n"
                  "    \"cycles_per_sec\": %.3f,\n"
@@ -571,8 +595,8 @@ int main(int argc, char** argv) {
                  "  }\n"
                  "}\n",
                  quick ? "quick" : "full", hw_threads, wheel, legacy, speedup,
-                 enc, dec, denc, ddec, cycles, serial_median, tracing_pairs,
-                 traced_median, overhead_median, pair_list.c_str(),
+                 enc, dec, denc, ddec, admits, cycles, serial_median,
+                 tracing_pairs, traced_median, overhead_median, pair_list.c_str(),
                  engine_gate.json().c_str(), identity_gate.json().c_str(),
                  overhead_gate.json().c_str());
     std::fclose(f);

@@ -375,10 +375,10 @@ Nanos CompiledPlan::last_stage_restart_before(std::size_t stage,
   return restart;
 }
 
-std::size_t CompiledPlan::quorum_count(std::size_t expected) const {
+std::size_t quorum_count(double quorum, std::size_t expected) {
   if (expected == 0) return 0;
   const auto count =
-      static_cast<std::size_t>(std::ceil(quorum_ * static_cast<double>(expected)));
+      static_cast<std::size_t>(std::ceil(quorum * static_cast<double>(expected)));
   return std::min(std::max<std::size_t>(count, 1), expected);
 }
 

@@ -155,6 +155,11 @@ struct FaultPlan {
   [[nodiscard]] static Result<FaultPlan> load(const std::string& path);
 };
 
+/// ceil(quorum * expected), clamped to [1, expected] (0 when expected is
+/// 0): the reply count that lets a phase close before every reply is in.
+/// The one quorum formula of the simulator and the live runtime.
+[[nodiscard]] std::size_t quorum_count(double quorum, std::size_t expected);
+
 /// A [from, until) outage; until == kNever means permanent.
 struct DownInterval {
   Nanos from{0};
@@ -196,9 +201,10 @@ class CompiledPlan {
   [[nodiscard]] Nanos last_stage_restart_before(std::size_t stage, Nanos t) const;
 
   [[nodiscard]] double quorum() const { return quorum_; }
-  /// ceil(quorum * expected), clamped to [1, expected] (0 when expected
-  /// is 0): the reply count that lets a deadline close a phase.
-  [[nodiscard]] std::size_t quorum_count(std::size_t expected) const;
+  /// fault::quorum_count at this plan's quorum.
+  [[nodiscard]] std::size_t quorum_count(std::size_t expected) const {
+    return fault::quorum_count(quorum_, expected);
+  }
   [[nodiscard]] Nanos phase_timeout() const { return phase_timeout_; }
   [[nodiscard]] std::size_t max_deadline_extensions() const {
     return max_extensions_;

@@ -1,11 +1,11 @@
 #include "runtime/global_server.h"
 
 #include <algorithm>
-#include <cmath>
 #include <unordered_set>
 
 #include "common/log.h"
 #include "core/aggregator.h"
+#include "fault/plan.h"
 #include "rpc/broadcast.h"
 
 namespace sds::runtime {
@@ -241,20 +241,16 @@ Result<core::PhaseBreakdown> GlobalControllerServer::run_cycle() {
                                                        "collect")});
   rpc::broadcast_shared(*endpoint_, targets.stage_conns, collect_frame);
   rpc::broadcast_shared(*endpoint_, agg_conns, collect_frame);
-  const auto quorum_of = [this](std::size_t expected) -> std::size_t {
-    if (expected == 0) return 0;
-    const auto n = static_cast<std::size_t>(
-        std::ceil(options_.collect_quorum * static_cast<double>(expected)));
-    return std::clamp<std::size_t>(n, 1, expected);
-  };
   const Status stage_wait = stage_gather->wait_for(
-      options_.phase_timeout, quorum_of(targets.stage_conns.size()));
+      options_.phase_timeout,
+      fault::quorum_count(options_.collect_quorum, targets.stage_conns.size()));
   // Everything after the direct-stage gather closes is aggregation tail:
   // waiting on aggregator subtree reports and decoding them.
   const Nanos stage_gather_done = phase.elapsed();
   if (instrumented) phase_probe_.mark("collect");
-  const Status agg_wait = agg_gather->wait_for(options_.phase_timeout,
-                                               quorum_of(agg_conns.size()));
+  const Status agg_wait = agg_gather->wait_for(
+      options_.phase_timeout,
+      fault::quorum_count(options_.collect_quorum, agg_conns.size()));
   if (!stage_wait.is_ok() || !agg_wait.is_ok()) {
     SDS_LOG(WARN) << "global: collect incomplete in cycle " << cycle;
   }
@@ -435,8 +431,9 @@ Result<core::PhaseBreakdown> GlobalControllerServer::run_cycle() {
     // queued; the rest of the phase is the ack wait.
     breakdown.disseminate = phase.elapsed();
     if (instrumented) phase_probe_.mark("disseminate");
-    const Status ack_wait = ack_gather->wait_for(options_.phase_timeout,
-                                                 quorum_of(ack_conns.size()));
+    const Status ack_wait = ack_gather->wait_for(
+        options_.phase_timeout,
+        fault::quorum_count(options_.collect_quorum, ack_conns.size()));
     if (!ack_wait.is_ok()) {
       SDS_LOG(WARN) << "global: enforce incomplete in cycle " << cycle;
     }

@@ -205,6 +205,15 @@ TEST(CompiledPlanTest, QuorumCountCeilsAndClamps) {
   all.drop_probability = 0.01;  // quorum defaults to 1.0
   const auto strict = CompiledPlan::compile(all, 4, 0, seconds(1));
   EXPECT_EQ(strict.quorum_count(10), 10u);
+  // The free function is the one formula both executors call.
+  EXPECT_EQ(quorum_count(0.9, 0), 0u);
+  EXPECT_EQ(quorum_count(0.9, 11), 10u);
+  EXPECT_EQ(quorum_count(0.01, 5), 1u);  // clamped up to one reply
+  EXPECT_EQ(quorum_count(1.0, 7), 7u);
+  EXPECT_EQ(quorum_count(0.5, 3), 2u);  // ceil(1.5)
+  for (std::size_t expected = 0; expected < 40; ++expected) {
+    EXPECT_EQ(quorum_count(0.9, expected), compiled.quorum_count(expected));
+  }
 }
 
 TEST(CompiledPlanTest, LastStageRestartBefore) {

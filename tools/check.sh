@@ -70,6 +70,10 @@ PASSED=()
 FAILED=()
 SKIPPED=()
 
+# Every stage logs to build-check/<tree>.*.log before cmake creates the
+# tree, so the parent directory must exist on a fresh checkout.
+mkdir -p build-check
+
 note() { printf '\n==> %s\n' "$*"; }
 
 configure_and_build() {
