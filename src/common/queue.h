@@ -12,13 +12,18 @@
 // A producer that emits bursts can batch its wake-ups: push_quiet()
 // appends without signalling and reports whether a consumer sleeps;
 // the producer then calls wake() once, after the burst.
+//
+// Items live in a Ring of blocks. pop_all() hands the consumer the whole
+// chain and takes back the blocks of the consumer's previous batch, so a
+// queue that carries the same bursts every cycle stops allocating once
+// it has held its largest backlog.
 #pragma once
 
-#include <deque>
 #include <optional>
 
 #include "common/clock.h"
 #include "common/mutex.h"
+#include "common/ring.h"
 #include "common/thread_annotations.h"
 
 namespace sds {
@@ -96,16 +101,18 @@ class Queue {
     return pop_locked();
   }
 
-  /// Blocking batch pop: waits like pop(), then swaps every queued item
-  /// into `out` (whose previous contents are discarded) in FIFO order,
+  /// Blocking batch pop: waits like pop(), then hands every queued item
+  /// to `out` (whose previous contents are discarded) in FIFO order,
   /// so a consumer takes the lock once per batch instead of once per
-  /// item. Returns false once closed and drained.
-  bool pop_all(std::deque<T>& out) SDS_EXCLUDES(mu_) {
+  /// item. `out`'s emptied blocks go back to the queue, so passing the
+  /// same ring every time keeps the pair at its high-water mark. Returns
+  /// false once closed and drained.
+  bool pop_all(Ring<T>& out) SDS_EXCLUDES(mu_) {
     out.clear();
     MutexLock lock(mu_);
     wait_not_empty(lock);
     if (items_.empty()) return false;
-    out.swap(items_);
+    items_.hand_over(out);
     not_full_.notify_all();
     return true;
   }
@@ -113,11 +120,7 @@ class Queue {
   /// Non-blocking pop.
   std::optional<T> try_pop() SDS_EXCLUDES(mu_) {
     MutexLock lock(mu_);
-    if (items_.empty()) return std::nullopt;
-    T item = std::move(items_.front());
-    items_.pop_front();
-    not_full_.notify_one();
-    return item;
+    return pop_locked();
   }
 
   void close() SDS_EXCLUDES(mu_) {
@@ -164,7 +167,7 @@ class Queue {
   mutable Mutex mu_{LockRank::kQueue};
   CondVar not_empty_;
   CondVar not_full_;
-  std::deque<T> items_ SDS_GUARDED_BY(mu_);
+  Ring<T> items_ SDS_GUARDED_BY(mu_);
   bool closed_ SDS_GUARDED_BY(mu_) = false;
   /// Consumers inside a not_empty_ wait (blocked, or woken but not yet
   /// back under the lock).

@@ -16,6 +16,14 @@ Id get_id32(Decoder& dec) {
   return Id{dec.get_u32()};
 }
 
+/// Reads an element count and checks it against the bytes left: each
+/// element takes at least `min_size` bytes, so a larger count is corrupt
+/// and is refused before anything is reserved for it.
+bool get_count(Decoder& dec, std::size_t min_size, std::uint64_t& n) {
+  n = dec.get_varint();
+  return dec.ok() && n <= dec.remaining() / min_size;
+}
+
 }  // namespace
 
 std::string_view to_string(MessageType t) {
@@ -246,8 +254,8 @@ Result<MetricsBatch> MetricsBatch::decode(Decoder& dec) {
   MetricsBatch batch;
   batch.cycle_id = dec.get_varint();
   batch.from = get_id32<ControllerId>(dec);
-  const std::uint64_t n = dec.get_varint();
-  if (!dec.ok() || n > (1u << 26)) {
+  std::uint64_t n = 0;
+  if (!get_count(dec, StageMetrics{}.wire_size(), n)) {
     return Status::invalid_argument("MetricsBatch: bad count");
   }
   batch.entries.reserve(static_cast<std::size_t>(n));
@@ -315,8 +323,8 @@ Result<AggregatedMetrics> AggregatedMetrics::decode(Decoder& dec) {
   agg.cycle_id = dec.get_varint();
   agg.from = get_id32<ControllerId>(dec);
   agg.total_stages = dec.get_u32();
-  const std::uint64_t n = dec.get_varint();
-  if (!dec.ok() || n > (1u << 26)) {
+  std::uint64_t n = 0;
+  if (!get_count(dec, JobMetrics{}.wire_size(), n)) {
     return Status::invalid_argument("AggregatedMetrics: bad count");
   }
   agg.jobs.reserve(static_cast<std::size_t>(n));
@@ -325,8 +333,8 @@ Result<AggregatedMetrics> AggregatedMetrics::decode(Decoder& dec) {
     if (!job.is_ok()) return job.status();
     agg.jobs.push_back(std::move(job).value());
   }
-  const std::uint64_t d = dec.get_varint();
-  if (!dec.ok() || d > (1u << 26)) {
+  std::uint64_t d = 0;
+  if (!get_count(dec, StageDigest::wire_size(), d)) {
     return Status::invalid_argument("AggregatedMetrics: bad digest count");
   }
   agg.digests.reserve(static_cast<std::size_t>(d));
@@ -381,18 +389,24 @@ void EnforceBatch::encode(Encoder& enc) const {
 
 Result<EnforceBatch> EnforceBatch::decode(Decoder& dec) {
   EnforceBatch batch;
-  batch.cycle_id = dec.get_varint();
-  const std::uint64_t n = dec.get_varint();
-  if (!dec.ok() || n > (1u << 26)) {
+  SDS_RETURN_IF_ERROR(decode(dec, batch));
+  return batch;
+}
+
+Status EnforceBatch::decode(Decoder& dec, EnforceBatch& out) {
+  out.cycle_id = dec.get_varint();
+  std::uint64_t n = 0;
+  if (!get_count(dec, Rule{}.wire_size(), n)) {
     return Status::invalid_argument("EnforceBatch: bad count");
   }
-  batch.rules.reserve(static_cast<std::size_t>(n));
+  out.rules.clear();
+  out.rules.reserve(static_cast<std::size_t>(n));
   for (std::uint64_t i = 0; i < n; ++i) {
     auto rule = Rule::decode(dec);
     if (!rule.is_ok()) return rule.status();
-    batch.rules.push_back(std::move(rule).value());
+    out.rules.push_back(std::move(rule).value());
   }
-  return batch;
+  return Status::ok();
 }
 
 std::size_t EnforceBatch::wire_size() const {

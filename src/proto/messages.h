@@ -263,6 +263,9 @@ struct EnforceBatch {
 
   void encode(wire::Encoder& enc) const;
   static Result<EnforceBatch> decode(wire::Decoder& dec);
+  /// Decode into `out`, whose rule vector keeps its capacity (see
+  /// from_frame(frame, out)); on error `out` holds a partial batch.
+  static Status decode(wire::Decoder& dec, EnforceBatch& out);
   [[nodiscard]] std::size_t wire_size() const;
   bool operator==(const EnforceBatch&) const = default;
 };
@@ -360,19 +363,36 @@ template <typename M>
       [&msg](wire::Encoder& enc) { msg.encode(enc); }, trace);
 }
 
-/// Decode a frame's payload as message type M; checks the type tag and
-/// that the payload is fully consumed.
+/// Decode a frame's payload into an existing message, checking the type
+/// tag and that the payload is fully consumed. A message with a
+/// `decode(Decoder&, M&)` overload (EnforceBatch) refills `out` in place,
+/// so a receiver that keeps one message across frames reuses its
+/// vectors' storage; on error `out` is left partly decoded.
 template <typename M>
-[[nodiscard]] Result<M> from_frame(const wire::Frame& frame) {
+[[nodiscard]] Status from_frame(const wire::Frame& frame, M& out) {
   if (frame.type != static_cast<std::uint16_t>(M::kType)) {
     return Status::invalid_argument("frame type mismatch");
   }
   wire::Decoder dec(frame.payload);
-  auto msg = M::decode(dec);
-  if (!msg.is_ok()) return msg;
+  if constexpr (requires { M::decode(dec, out); }) {
+    SDS_RETURN_IF_ERROR(M::decode(dec, out));
+  } else {
+    auto msg = M::decode(dec);
+    if (!msg.is_ok()) return msg.status();
+    out = std::move(msg).value();
+  }
   if (!dec.fully_consumed()) {
     return Status::invalid_argument("trailing bytes in frame payload");
   }
+  return Status::ok();
+}
+
+/// Decode a frame's payload as message type M; checks the type tag and
+/// that the payload is fully consumed.
+template <typename M>
+[[nodiscard]] Result<M> from_frame(const wire::Frame& frame) {
+  M msg;
+  SDS_RETURN_IF_ERROR(from_frame(frame, msg));
   return msg;
 }
 

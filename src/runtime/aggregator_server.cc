@@ -171,6 +171,7 @@ void AggregatorServer::serve_collect(proto::CollectRequest request,
   ConnId upstream;
   {
     MutexLock lock(mu_);
+    conns.reserve(core_.registry().size());
     core_.registry().for_each(
         [&](const core::StageRecord& record) { conns.push_back(record.conn); });
     upstream = upstream_;

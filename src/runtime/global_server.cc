@@ -387,32 +387,46 @@ Result<core::PhaseBreakdown> GlobalControllerServer::run_cycle() {
   // Build every delivery first so the ack gather can be registered
   // BEFORE the first send — otherwise a fast ack could arrive before the
   // gather exists and be dropped.
-  std::vector<std::pair<ConnId, proto::EnforceBatch>> deliveries;
+  const wire::TraceContext enforce_ctx{
+      trace_id, telemetry::derive_span_id(trace_id, track, "disseminate")};
+  std::vector<std::pair<ConnId, wire::Frame>> deliveries;
+  deliveries.reserve(targets.stage_conns.size() + targets.aggregators.size());
   if (const auto it = batches.find(ControllerId::invalid());
       it != batches.end()) {
-    // Direct stages: one batch per stage connection.
-    std::unordered_map<ConnId, proto::EnforceBatch> per_conn;
+    // Direct stages: one batch per stage connection, its rules in result
+    // order. Sorting (connection, rule index) pairs groups them, and each
+    // group is encoded from one reused batch, so grouping keeps no
+    // per-connection state.
+    const std::vector<proto::Rule>& rules = it->second.rules;
+    std::vector<std::pair<ConnId, std::size_t>> routed;
+    routed.reserve(rules.size());
     {
       MutexLock lock(mu_);
-      for (const auto& rule : it->second.rules) {
-        const core::StageRecord* record = core_.registry().find(rule.stage_id);
-        if (record == nullptr) continue;
-        auto& batch = per_conn[record->conn];
-        batch.cycle_id = cycle;
-        batch.rules.push_back(rule);
+      for (std::size_t i = 0; i < rules.size(); ++i) {
+        const core::StageRecord* record =
+            core_.registry().find(rules[i].stage_id);
+        if (record != nullptr) routed.emplace_back(record->conn, i);
       }
     }
-    for (auto& [conn, batch] : per_conn) {
-      deliveries.emplace_back(conn, std::move(batch));
+    std::sort(routed.begin(), routed.end());
+    proto::EnforceBatch batch;
+    batch.cycle_id = cycle;
+    for (std::size_t i = 0; i < routed.size();) {
+      const ConnId conn = routed[i].first;
+      batch.rules.clear();
+      for (; i < routed.size() && routed[i].first == conn; ++i) {
+        batch.rules.push_back(rules[routed[i].second]);
+      }
+      deliveries.emplace_back(conn, proto::to_frame(batch, enforce_ctx));
     }
   }
   // Aggregators: the whole subtree batch on the aggregator connection.
+  const proto::EnforceBatch no_rules{cycle, {}};
   for (const auto& [conn, id] : targets.aggregators) {
     const auto it = batches.find(id);
-    proto::EnforceBatch batch;
-    batch.cycle_id = cycle;
-    if (it != batches.end()) batch = it->second;
-    deliveries.emplace_back(conn, std::move(batch));
+    deliveries.emplace_back(
+        conn, proto::to_frame(it != batches.end() ? it->second : no_rules,
+                              enforce_ctx));
   }
 
   std::size_t enforce_missing = 0;
@@ -422,10 +436,8 @@ Result<core::PhaseBreakdown> GlobalControllerServer::run_cycle() {
     for (const auto& [conn, _] : deliveries) ack_conns.push_back(conn);
     auto ack_gather = dispatcher_.start_gather(proto::MessageType::kEnforceAck,
                                                cycle, ack_conns);
-    const wire::TraceContext enforce_ctx{
-        trace_id, telemetry::derive_span_id(trace_id, track, "disseminate")};
-    for (const auto& [conn, batch] : deliveries) {
-      (void)endpoint_->send(conn, proto::to_frame(batch, enforce_ctx));
+    for (auto& [conn, frame] : deliveries) {
+      (void)endpoint_->send(conn, std::move(frame));
     }
     // Dissemination head of the enforce phase: rule batches encoded and
     // queued; the rest of the phase is the ack wait.

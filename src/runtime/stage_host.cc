@@ -56,11 +56,9 @@ Status StageHost::start(const transport::EndpointOptions& endpoint_options) {
 Status StageHost::add_stage(proto::StageInfo info, stage::DemandFn data_demand,
                             stage::DemandFn meta_demand) {
   MutexLock lock(mu_);
-  for (const auto& slot : slots_) {
-    if (slot->stage.info().stage_id == info.stage_id) {
-      return Status::already_exists("stage " +
-                                    std::to_string(info.stage_id.value()));
-    }
+  if (!by_stage_.try_emplace(info.stage_id, slots_.size()).second) {
+    return Status::already_exists("stage " +
+                                  std::to_string(info.stage_id.value()));
   }
   auto slot = std::make_unique<Slot>(Slot{
       stage::VirtualStage(std::move(info), std::move(data_demand),
@@ -174,19 +172,18 @@ void StageHost::on_frame(ConnId conn, wire::Frame frame) {
       break;
     }
     case MessageType::kEnforceBatch: {
-      const auto batch = proto::from_frame<proto::EnforceBatch>(frame);
-      if (!batch.is_ok()) return;
+      if (!proto::from_frame(frame, enforce_batch_).is_ok()) return;
       const Nanos begin = clock_->now();
       proto::EnforceAck ack;
-      ack.cycle_id = batch->cycle_id;
-      for (const auto& rule : batch->rules) {
+      ack.cycle_id = enforce_batch_.cycle_id;
+      for (const auto& rule : enforce_batch_.rules) {
         if (rule.stage_id == slot.stage.info().stage_id &&
             slot.stage.apply(rule)) {
           ++ack.applied;
         }
       }
       const auto reply_ctx =
-          trace_hop(frame, "stage.enforce", batch->cycle_id, begin,
+          trace_hop(frame, "stage.enforce", enforce_batch_.cycle_id, begin,
                     telemetry::SpanPhase::kEnforce);
       (void)endpoint_->send(conn, proto::to_frame(ack, reply_ctx));
       break;
@@ -246,12 +243,11 @@ void StageHost::on_conn_event(ConnId conn, transport::ConnEvent event) {
 Result<double> StageHost::stage_limit(StageId stage_id,
                                       stage::Dimension dim) const {
   MutexLock lock(mu_);
-  for (const auto& slot : slots_) {
-    if (slot->stage.info().stage_id == stage_id) {
-      return slot->stage.limit(dim);
-    }
+  const auto it = by_stage_.find(stage_id);
+  if (it == by_stage_.end()) {
+    return Status::not_found("stage " + std::to_string(stage_id.value()));
   }
-  return Status::not_found("stage " + std::to_string(stage_id.value()));
+  return slots_[it->second]->stage.limit(dim);
 }
 
 std::size_t StageHost::stage_count() const {

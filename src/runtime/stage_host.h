@@ -125,7 +125,12 @@ class StageHost {
     bool has_report = false;
   };
   std::vector<std::unique_ptr<Slot>> slots_ SDS_GUARDED_BY(mu_);
+  /// Slot index of each stage, for duplicate checks and stage_limit().
+  std::unordered_map<StageId, std::size_t> by_stage_ SDS_GUARDED_BY(mu_);
   std::unordered_map<ConnId, std::size_t> by_conn_ SDS_GUARDED_BY(mu_);
+  /// Inbound enforce batches decode into this one message, so its rule
+  /// vector's storage is reused from frame to frame.
+  proto::EnforceBatch enforce_batch_ SDS_GUARDED_BY(mu_);
   std::uint64_t collects_answered_ SDS_GUARDED_BY(mu_) = 0;
   bool started_ SDS_GUARDED_BY(mu_) = false;
   bool shutting_down_ SDS_GUARDED_BY(mu_) = false;

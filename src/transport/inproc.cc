@@ -1,9 +1,9 @@
 #include "transport/inproc.h"
 
 #include <algorithm>
-#include <deque>
 #include <thread>
 #include <utility>
+#include <variant>
 #include <vector>
 
 #include "common/log.h"
@@ -78,21 +78,16 @@ class InProcCore : public std::enable_shared_from_this<InProcCore> {
   }
 
   Status send(ConnId conn, wire::Frame frame) {
-    Event ev;
-    ev.is_frame = true;
     const std::size_t size = frame.wire_size();
-    ev.frame = std::move(frame);
-    return send_event(conn, std::move(ev), size);
+    return send_event(conn, Event{ConnId{}, std::move(frame)}, size);
   }
 
   /// Zero-copy send: the queue carries a reference to the shared wire
   /// image; the single payload copy happens on the receiving side at
   /// delivery (the copy a real NIC would make).
   Status send_shared(ConnId conn, const wire::SharedFrame& frame) {
-    Event ev;
-    ev.is_frame = true;
-    ev.shared = frame;  // ref-count bump, no payload copy
-    return send_event(conn, std::move(ev), frame.wire_size());
+    // A ref-count bump, no payload copy.
+    return send_event(conn, Event{ConnId{}, frame}, frame.wire_size());
   }
 
   void close(ConnId conn) { close_impl(conn, /*notify_self=*/true); }
@@ -123,12 +118,12 @@ class InProcCore : public std::enable_shared_from_this<InProcCore> {
     ConnId remote_conn;
   };
 
+  /// One queued delivery: a unicast frame (its payload inline when it
+  /// is a per-stage message), a shared broadcast image, or a connection
+  /// event.
   struct Event {
     ConnId conn;
-    bool is_frame = false;
-    wire::Frame frame;
-    wire::SharedFrame shared;  // set instead of `frame` for shared sends
-    ConnEvent conn_event = ConnEvent::kOpened;
+    std::variant<wire::Frame, wire::SharedFrame, ConnEvent> body;
   };
 
   ConnId next_conn_id() {
@@ -184,10 +179,7 @@ class InProcCore : public std::enable_shared_from_this<InProcCore> {
   }
 
   void enqueue_conn_event(ConnId conn, ConnEvent event) {
-    Event ev;
-    ev.conn = conn;
-    ev.conn_event = event;
-    queue_.push(std::move(ev));
+    queue_.push(Event{conn, event});
   }
 
   void close_impl(ConnId conn, bool notify_self) {
@@ -217,14 +209,15 @@ class InProcCore : public std::enable_shared_from_this<InProcCore> {
     enqueue_conn_event(conn, ConnEvent::kClosed);
   }
 
-  /// Takes everything queued at each wake-up in one swap and copies the
+  /// Takes everything queued at each wake-up at once and copies the
   /// handlers once per batch; events keep their queue order, so frames
-  /// stay FIFO per connection and connection events stay in place. Peers
+  /// stay FIFO per connection and connection events stay in place. The
+  /// batch's blocks go back to the queue at the next pop_all(). Peers
   /// that the batch's handlers sent to while they slept are woken once,
   /// after the batch.
   void delivery_loop() {
     delivering_ = this;
-    std::deque<Event> batch;
+    Ring<Event> batch;
     while (queue_.pop_all(batch)) {
       FrameHandler frame_handler;
       ConnEventHandler conn_handler;
@@ -234,20 +227,19 @@ class InProcCore : public std::enable_shared_from_this<InProcCore> {
         conn_handler = conn_handler_;
       }
       for (Event& ev : batch) {
-        if (ev.is_frame) {
-          if (frame_handler) {
-            // Shared frames materialize here: one payload copy,
-            // receiver-side. The batch outlives this event, so the image
-            // reference is dropped now rather than at the next wake-up.
-            wire::Frame frame =
-                ev.shared.empty() ? std::move(ev.frame) : ev.shared.to_frame();
-            ev.shared = {};
-            frame_handler(ev.conn, std::move(frame));
-          } else {
-            SDS_LOG(WARN) << address_ << ": frame dropped (no handler)";
-          }
-        } else if (conn_handler) {
-          conn_handler(ev.conn, ev.conn_event);
+        if (const auto* event = std::get_if<ConnEvent>(&ev.body)) {
+          if (conn_handler) conn_handler(ev.conn, *event);
+        } else if (!frame_handler) {
+          SDS_LOG(WARN) << address_ << ": frame dropped (no handler)";
+        } else if (auto* shared = std::get_if<wire::SharedFrame>(&ev.body)) {
+          // Shared frames materialize here: one payload copy,
+          // receiver-side. The batch outlives this event, so the image
+          // reference is dropped now rather than at the next wake-up.
+          wire::Frame frame = shared->to_frame();
+          *shared = {};
+          frame_handler(ev.conn, std::move(frame));
+        } else {
+          frame_handler(ev.conn, std::move(std::get<wire::Frame>(ev.body)));
         }
       }
       for (const auto& peer : wake_after_batch_) peer->queue_.wake();

@@ -13,7 +13,6 @@
 #include <array>
 #include <cerrno>
 #include <cstring>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <optional>
@@ -24,6 +23,7 @@
 
 #include "common/log.h"
 #include "common/mutex.h"
+#include "common/ring.h"
 #include "common/thread_annotations.h"
 
 namespace sds::transport {
@@ -34,8 +34,12 @@ constexpr int kMaxEpollEvents = 256;
 /// Size of the endpoint-wide read scratch buffer: the most one read()
 /// takes from a socket.
 constexpr std::size_t kReadChunk = 64 * 1024;
-/// Frames coalesced per writev call (well under Linux's IOV_MAX).
-constexpr std::size_t kMaxIov = 64;
+/// Pieces one queued frame takes in a writev: a unicast frame is its
+/// header, its payload and its trace trailer; a broadcast image is one.
+constexpr std::size_t kPiecesPerWrite = 3;
+/// iovecs per writev call: 64 frames of up to three pieces each (well
+/// under Linux's IOV_MAX).
+constexpr std::size_t kMaxIov = 64 * kPiecesPerWrite;
 
 /// The endpoint whose event loop runs on this thread (null elsewhere).
 thread_local const void* t_loop_endpoint = nullptr;
@@ -76,16 +80,60 @@ Result<sockaddr_in> parse_address(const std::string& address) {
   return addr;
 }
 
-/// One queued outbound buffer: either bytes this connection owns (unicast
-/// serialize) or a view into a ref-counted broadcast image shared with
-/// every other destination of the same message.
+/// One queued outbound frame: a unicast frame written straight from its
+/// moved-in payload between its encoded header and trace trailer, or a
+/// view into a ref-counted broadcast image shared with every other
+/// destination of the same message. Either way nothing is serialized
+/// into a second buffer, and a per-stage frame holds no heap memory.
 struct WriteBuf {
-  wire::Bytes owned;
+  /// Unicast: the frame header, then the trace trailer when traced.
+  wire::Bytes ends;
+  /// Unicast: the message payload.
+  wire::Bytes payload;
+  /// Broadcast: the shared wire image (`ends` and `payload` stay empty).
   wire::SharedFrame shared;
 
-  [[nodiscard]] std::span<const std::uint8_t> view() const {
-    return shared.empty() ? std::span<const std::uint8_t>(owned)
-                          : shared.wire_image();
+  static WriteBuf unicast(wire::Frame&& frame) {
+    WriteBuf buf;
+    wire::Encoder enc(buf.ends);
+    const std::size_t body = frame.payload.size() +
+                             (frame.trace ? wire::kTraceContextSize : 0);
+    wire::FrameHeader{frame.type,
+                      frame.trace ? wire::kFlagTraceContext : std::uint16_t{0},
+                      static_cast<std::uint32_t>(body)}
+        .encode(enc);
+    if (frame.trace) frame.trace->encode(enc);
+    buf.payload = std::move(frame.payload);
+    return buf;
+  }
+
+  [[nodiscard]] std::size_t size() const {
+    return shared.empty() ? ends.size() + payload.size() : shared.wire_size();
+  }
+
+  /// Points `iov` (room for kPiecesPerWrite entries) at this frame's
+  /// bytes after the first `skip`; returns how many entries it filled.
+  std::size_t gather(iovec* iov, std::size_t skip) const {
+    std::array<std::span<const std::uint8_t>, kPiecesPerWrite> pieces;
+    if (shared.empty()) {
+      const std::span<const std::uint8_t> ends_view(ends);
+      pieces = {ends_view.first(wire::kFrameHeaderSize), payload,
+                ends_view.subspan(wire::kFrameHeaderSize)};
+    } else {
+      pieces[0] = shared.wire_image();
+    }
+    std::size_t filled = 0;
+    for (const auto piece : pieces) {
+      if (skip >= piece.size()) {
+        skip -= piece.size();
+        continue;
+      }
+      iov[filled].iov_base = const_cast<std::uint8_t*>(piece.data() + skip);
+      iov[filled].iov_len = piece.size() - skip;
+      ++filled;
+      skip = 0;
+    }
+    return filled;
   }
 };
 
@@ -110,7 +158,8 @@ struct Conn {
   /// The start of a frame whose last bytes have not arrived yet; complete
   /// frames are parsed straight out of the read scratch buffer.
   wire::Bytes tail;
-  std::deque<WriteBuf> write_queue;
+  /// Small blocks: a connection rarely holds more than a few frames.
+  Ring<WriteBuf, 4> write_queue;
   std::size_t write_offset = 0;  // into write_queue.front()
   bool want_write = false;       // EPOLLOUT armed: the socket refused bytes
   bool dirty = false;            // listed for this loop turn's flush
@@ -208,10 +257,8 @@ class TcpEndpoint final : public Endpoint {
     if (stopping_.load(std::memory_order_acquire)) {
       return Status::unavailable("endpoint shut down");
     }
-    WriteBuf buf;
-    buf.owned = frame.serialize();
-    counters_.on_send(buf.owned.size());
-    queue_send(conn, std::move(buf));
+    counters_.on_send(frame.wire_size());
+    queue_send(conn, WriteBuf::unicast(std::move(frame)));
     return Status::ok();
   }
 
@@ -528,22 +575,17 @@ class TcpEndpoint final : public Endpoint {
     }
   }
 
-  /// Vectored flush: gathers queued frames (header+payload are already
-  /// contiguous per buffer) into one writev, so a burst of frames leaves
-  /// in a single syscall instead of one write per frame. Returns false if
-  /// the connection was closed.
+  /// Vectored flush: gathers the pieces of queued frames into one
+  /// writev, so a burst of frames leaves in a single syscall instead of
+  /// one write per frame. Returns false if the connection was closed.
   bool flush_writes(Conn& conn) {
     while (!conn.write_queue.empty()) {
       std::array<iovec, kMaxIov> iov;
       std::size_t iov_count = 0;
       std::size_t front_skip = conn.write_offset;
       for (const auto& buf : conn.write_queue) {
-        if (iov_count == kMaxIov) break;
-        const auto view = buf.view();
-        iov[iov_count].iov_base =
-            const_cast<std::uint8_t*>(view.data() + front_skip);
-        iov[iov_count].iov_len = view.size() - front_skip;
-        ++iov_count;
+        if (iov_count + kPiecesPerWrite > kMaxIov) break;
+        iov_count += buf.gather(iov.data() + iov_count, front_skip);
         front_skip = 0;
       }
       ssize_t n =
@@ -556,7 +598,7 @@ class TcpEndpoint final : public Endpoint {
       std::size_t written = static_cast<std::size_t>(n);
       while (written > 0) {
         const std::size_t front_remaining =
-            conn.write_queue.front().view().size() - conn.write_offset;
+            conn.write_queue.front().size() - conn.write_offset;
         if (written >= front_remaining) {
           written -= front_remaining;
           conn.write_queue.pop_front();

@@ -12,11 +12,10 @@
 #include <span>
 #include <string>
 #include <string_view>
-#include <vector>
+
+#include "wire/bytes.h"
 
 namespace sds::wire {
-
-using Bytes = std::vector<std::uint8_t>;
 
 class Encoder {
  public:
@@ -40,11 +39,8 @@ class Encoder {
   /// the write loop then has a known trip count instead of testing the
   /// remaining value every byte.
   void put_varint(std::uint64_t v) {
-    auto& buf = buffer();
     const std::size_t n = varint_size(v);
-    const std::size_t old = buf.size();
-    buf.resize(old + n);
-    std::uint8_t* p = buf.data() + old;
+    std::uint8_t* p = buffer().append_uninitialized(n);
     for (std::size_t i = 0; i + 1 < n; ++i) {
       p[i] = static_cast<std::uint8_t>(v) | 0x80;
       v >>= 7;
@@ -65,14 +61,11 @@ class Encoder {
 
   void put_string(std::string_view s) {
     put_varint(s.size());
-    auto& buf = buffer();
-    buf.insert(buf.end(), s.begin(), s.end());
+    buffer().append(
+        {reinterpret_cast<const std::uint8_t*>(s.data()), s.size()});
   }
 
-  void put_raw(std::span<const std::uint8_t> data) {
-    auto& buf = buffer();
-    buf.insert(buf.end(), data.begin(), data.end());
-  }
+  void put_raw(std::span<const std::uint8_t> data) { buffer().append(data); }
 
   /// Encoded size of a varint without encoding it (for wire_size()).
   /// Constant-time: ceil(bit_width / 7), with `| 1` making zero one byte.
@@ -85,10 +78,7 @@ class Encoder {
   void put_fixed(T v) {
     static_assert(std::endian::native == std::endian::little,
                   "big-endian hosts need byte swaps here");
-    auto& buf = buffer();
-    const auto old = buf.size();
-    buf.resize(old + sizeof(T));
-    std::memcpy(buf.data() + old, &v, sizeof(T));
+    std::memcpy(buffer().append_uninitialized(sizeof(T)), &v, sizeof(T));
   }
 
   Bytes& buffer() { return out_ ? *out_ : owned_; }

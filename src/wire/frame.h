@@ -93,7 +93,9 @@ struct FrameHeader {
 /// A complete message as carried by a transport. `trace`, when set, is
 /// carried out-of-band: in-process transports move the Frame (and the
 /// context with it); byte transports append the trailer and re-attach it
-/// on decode, so `payload` is always exactly the message bytes.
+/// on decode, so `payload` is always exactly the message bytes. A
+/// per-stage message fits `payload`'s inline buffer, so a Frame carrying
+/// one owns no heap memory.
 struct Frame {
   std::uint16_t type = 0;
   Bytes payload;
@@ -102,20 +104,6 @@ struct Frame {
   [[nodiscard]] std::size_t wire_size() const {
     return kFrameHeaderSize + payload.size() +
            (trace ? kTraceContextSize : 0);
-  }
-
-  /// Serialize header+payload(+trace trailer) into a flat byte buffer
-  /// (for TCP writes).
-  [[nodiscard]] Bytes serialize() const {
-    Encoder enc;
-    enc.reserve(wire_size());
-    const std::uint16_t flags = trace ? kFlagTraceContext : 0;
-    const auto body = payload.size() + (trace ? kTraceContextSize : 0);
-    FrameHeader h{type, flags, static_cast<std::uint32_t>(body)};
-    h.encode(enc);
-    enc.put_raw(payload);
-    if (trace) trace->encode(enc);
-    return enc.take();
   }
 };
 

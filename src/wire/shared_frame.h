@@ -11,11 +11,18 @@
 // receiver a view and pays exactly one copy at the receiving end, which
 // is the copy a real NIC would make.
 //
-// Buffers come from a thread-local pool, so steady-state broadcasts
-// allocate nothing: when the last reference drops, the buffer returns to
-// the releasing thread's pool (each pool is touched only by its own
-// thread — no locks). EncodeStats counts encodes and pool traffic so
-// tests can assert the exactly-one-encode-per-wave invariant.
+// Images are wire::Bytes, so one of at most Bytes::kInlineCapacity bytes
+// (a CollectRequest with or without its trace trailer) needs no buffer
+// allocation; each encode still allocates its shared_ptr control block.
+// Larger images take their buffer from a thread-local pool (each pool is
+// touched only by its own thread — no locks), but a buffer joins the
+// pool of the thread that drops its last reference, not the encoder's.
+// In-process that is the receiver's delivery thread, over TCP the event
+// loop's thread, so on the live broadcast paths the encoding thread's
+// pool misses on every wave and the receiving side's pool only fills.
+// The pool pays off where one thread both encodes and releases.
+// EncodeStats counts encodes and pool traffic so tests can assert the
+// exactly-one-encode-per-wave invariant.
 #pragma once
 
 #include <atomic>
@@ -124,7 +131,7 @@ class SharedFrame {
     return out;
   }
 
-  /// Wrap an already-built Frame (one serialize; used at API boundaries
+  /// Wrap an already-built Frame (one copy; used at API boundaries
   /// that only have a Frame).
   [[nodiscard]] static SharedFrame from_frame(const Frame& frame) {
     return encode(
@@ -159,8 +166,9 @@ class SharedFrame {
   /// Reference count (diagnostics/tests only).
   [[nodiscard]] long use_count() const { return image_.use_count(); }
 
-  /// Materialize an owned Frame — the receiving side's single copy. The
-  /// trace trailer (if present) is decoded back into `Frame::trace`.
+  /// Materialize an owned Frame — the receiving side's single copy, into
+  /// the payload's inline buffer when it fits. The trace trailer (if
+  /// present) is decoded back into `Frame::trace`.
   [[nodiscard]] Frame to_frame() const {
     Frame frame;
     frame.type = type_;

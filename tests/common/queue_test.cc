@@ -4,7 +4,6 @@
 
 #include <atomic>
 #include <chrono>
-#include <deque>
 #include <thread>
 #include <vector>
 
@@ -24,6 +23,11 @@ bool spin_until(Pred pred) {
   return true;
 }
 
+/// A drained batch's items, front to back.
+std::vector<int> items(const Ring<int>& batch) {
+  return {batch.begin(), batch.end()};
+}
+
 TEST(QueueTest, PushPopSingleThread) {
   Queue<int> q;
   EXPECT_TRUE(q.push(1));
@@ -36,14 +40,15 @@ TEST(QueueTest, PushPopSingleThread) {
 TEST(QueueTest, PopAllTakesEverythingInOrder) {
   Queue<int> q;
   for (int i = 0; i < 5; ++i) EXPECT_TRUE(q.push(i));
-  std::deque<int> batch = {42};  // stale contents are discarded
+  Ring<int> batch;
+  batch.push_back(42);  // stale contents are discarded
   ASSERT_TRUE(q.pop_all(batch));
-  EXPECT_EQ(batch, (std::deque<int>{0, 1, 2, 3, 4}));
+  EXPECT_EQ(items(batch), (std::vector<int>{0, 1, 2, 3, 4}));
   EXPECT_EQ(q.size(), 0u);
   EXPECT_TRUE(q.push(5));
   q.close();
   ASSERT_TRUE(q.pop_all(batch));  // a closed queue still drains
-  EXPECT_EQ(batch, std::deque<int>{5});
+  EXPECT_EQ(items(batch), std::vector<int>{5});
   EXPECT_FALSE(q.pop_all(batch));
   EXPECT_TRUE(batch.empty());
 }
@@ -55,12 +60,82 @@ TEST(QueueTest, PopAllFreesRoomInBoundedQueue) {
   std::thread producer([&] {
     EXPECT_TRUE(q.push(3));  // blocks until the batch pop frees room
   });
-  std::deque<int> batch;
+  Ring<int> batch;
   ASSERT_TRUE(q.pop_all(batch));
-  EXPECT_EQ(batch, (std::deque<int>{1, 2}));
+  EXPECT_EQ(items(batch), (std::vector<int>{1, 2}));
   producer.join();
   ASSERT_TRUE(q.pop_all(batch));
-  EXPECT_EQ(batch, std::deque<int>{3});
+  EXPECT_EQ(items(batch), std::vector<int>{3});
+}
+
+// The queue's ring holds items in blocks of 64; a block the front has
+// emptied is reused at the back. These cases cross those wrap points.
+constexpr int kBlock = 64;
+
+TEST(QueueTest, PushAndPopAcrossTheWrapPoint) {
+  Queue<int> q;
+  int next_in = 0;
+  int next_out = 0;
+  // A backlog of 50 rolls through the blocks 20 times.
+  for (int round = 0; round < 20 * kBlock; ++round) {
+    while (next_in - next_out < 50) ASSERT_TRUE(q.push(next_in++));
+    ASSERT_EQ(q.pop(), next_out++);
+  }
+  EXPECT_EQ(q.size(), 49u);
+}
+
+TEST(QueueTest, PopAllAfterAWrap) {
+  Queue<int> q;
+  for (int i = 0; i < 100; ++i) ASSERT_TRUE(q.push(i));
+  for (int i = 0; i < 70; ++i) ASSERT_EQ(q.try_pop(), i);  // front in block 2
+  for (int i = 100; i < 200; ++i) ASSERT_TRUE(q.push(i));  // reuses block 1
+  Ring<int> batch;
+  ASSERT_TRUE(q.pop_all(batch));
+  std::vector<int> expected;
+  for (int i = 70; i < 200; ++i) expected.push_back(i);
+  EXPECT_EQ(items(batch), expected);
+  EXPECT_EQ(q.size(), 0u);
+  // The batch's blocks come back to the queue and carry the next round.
+  for (int i = 200; i < 400; ++i) ASSERT_TRUE(q.push(i));
+  ASSERT_TRUE(q.pop_all(batch));
+  expected.clear();
+  for (int i = 200; i < 400; ++i) expected.push_back(i);
+  EXPECT_EQ(items(batch), expected);
+}
+
+TEST(QueueTest, GrowthWhileWrapped) {
+  Queue<int> q;
+  int next_in = 0;
+  int next_out = 0;
+  for (; next_in < 3 * kBlock / 2; ++next_in) ASSERT_TRUE(q.push(next_in));
+  for (; next_out < kBlock + 10; ++next_out) ASSERT_EQ(q.pop(), next_out);
+  // The front sits mid-block and the emptied block is free; a burst far
+  // past the blocks in hand adds new ones behind the wrapped tail.
+  for (int i = 0; i < 10 * kBlock; ++i) ASSERT_TRUE(q.push(next_in++));
+  while (next_out < next_in) ASSERT_EQ(q.try_pop(), next_out++);
+  EXPECT_EQ(q.try_pop(), std::nullopt);
+}
+
+TEST(QueueTest, BoundedFullAndCloseAcrossWraps) {
+  Queue<int> q(5);
+  int next_in = 0;
+  int next_out = 0;
+  for (int round = 0; round < 3 * kBlock; ++round) {
+    while (q.try_push(next_in)) ++next_in;  // fills to the bound
+    ASSERT_EQ(q.size(), 5u);
+    EXPECT_EQ(q.push_quiet(next_in), QuietPush::kRejected);
+    ASSERT_EQ(q.pop(), next_out++);
+  }
+  q.close();
+  EXPECT_FALSE(q.push(next_in));
+  EXPECT_FALSE(q.try_push(next_in));
+  Ring<int> batch;
+  ASSERT_TRUE(q.pop_all(batch));  // a closed queue still drains, in order
+  std::vector<int> expected;
+  for (int i = next_out; i < next_in; ++i) expected.push_back(i);
+  EXPECT_EQ(items(batch), expected);
+  EXPECT_FALSE(q.pop_all(batch));
+  EXPECT_TRUE(batch.empty());
 }
 
 TEST(QueueTest, TryPopEmptyReturnsNullopt) {
@@ -161,9 +236,9 @@ TEST(QueueTest, QuietPushWithoutSleeperOwesNothing) {
   EXPECT_EQ(q.push_quiet(1), QuietPush::kQueued);
   EXPECT_TRUE(q.push(2));
   EXPECT_EQ(q.push_quiet(3), QuietPush::kQueued);
-  std::deque<int> batch;
+  Ring<int> batch;
   ASSERT_TRUE(q.pop_all(batch));
-  EXPECT_EQ(batch, (std::deque<int>{1, 2, 3}));  // quiet pushes keep order
+  EXPECT_EQ(items(batch), (std::vector<int>{1, 2, 3}));  // quiet pushes keep order
   q.wake();  // nobody asleep: a no-op
 }
 
@@ -181,7 +256,7 @@ TEST(QueueTest, QuietPushLeavesSleeperAsleepUntilWake) {
   Queue<int> q;
   std::atomic<int> taken{0};
   std::thread consumer([&] {
-    std::deque<int> batch;
+    Ring<int> batch;
     while (q.pop_all(batch)) {
       taken.fetch_add(static_cast<int>(batch.size()));
     }
@@ -217,7 +292,7 @@ TEST(QueueTest, QuietBurstsFromManyProducersAllArrive) {
   std::atomic<long long> sum{0};
   std::atomic<int> consumed{0};
   std::thread consumer([&] {
-    std::deque<int> batch;
+    Ring<int> batch;
     while (q.pop_all(batch)) {
       for (const int item : batch) sum.fetch_add(item);
       consumed.fetch_add(static_cast<int>(batch.size()));

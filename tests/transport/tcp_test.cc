@@ -35,6 +35,12 @@ wire::Frame test_frame(std::uint16_t type, std::size_t payload_size = 8) {
   return frame;
 }
 
+/// The bytes a frame occupies on the stream: header, payload and, when
+/// traced, the trace trailer.
+wire::Bytes wire_image(const wire::Frame& frame) {
+  return wire::Bytes(wire::SharedFrame::from_frame(frame).wire_image());
+}
+
 template <typename Pred>
 bool eventually(Pred pred, std::chrono::milliseconds deadline = 3000ms) {
   const auto until = std::chrono::steady_clock::now() + deadline;
@@ -375,7 +381,7 @@ TEST(TcpTest, ReassemblesFramesCutAtRandomOffsets) {
     if (i == 150 || i == 400) {
       frame.trace = wire::TraceContext{rng.next_u64(), rng.next_u64()};
     }
-    const wire::Bytes bytes = frame.serialize();
+    const wire::Bytes bytes = wire_image(frame);
     stream.insert(stream.end(), bytes.begin(), bytes.end());
     sent.push_back(std::move(frame));
   }
@@ -418,6 +424,93 @@ TEST(TcpTest, ReassemblesFramesCutAtRandomOffsets) {
   EXPECT_EQ(server->counters().bytes_received, stream.size());
 }
 
+/// Seeded frames around the payload's inline capacity (empty, just
+/// under, exactly at, just over, a few times over) and some far over it,
+/// each traced or untraced by a coin flip.
+std::vector<wire::Frame> mixed_frames(Rng& rng, std::size_t count) {
+  constexpr std::size_t kInline = wire::Bytes::kInlineCapacity;
+  const std::size_t sizes[] = {0, 1, kInline - 1, kInline, kInline + 1,
+                               3 * kInline};
+  std::vector<wire::Frame> frames;
+  for (std::size_t i = 0; i < count; ++i) {
+    wire::Frame frame;
+    frame.type = static_cast<std::uint16_t>(i);
+    std::size_t size = sizes[rng.next_below(std::size(sizes))];
+    if (rng.next_below(16) == 0) size = 1 + rng.next_below(3 * kReadChunk);
+    frame.payload.resize(size);
+    for (auto& byte : frame.payload) {
+      byte = static_cast<std::uint8_t>(rng.next_u64());
+    }
+    if (rng.bernoulli(0.5)) {
+      frame.trace = wire::TraceContext{rng.next_u64(), rng.next_u64()};
+    }
+    frames.push_back(std::move(frame));
+  }
+  return frames;
+}
+
+void expect_received(Queue<wire::Frame>& received,
+                     const std::vector<wire::Frame>& sent) {
+  for (std::size_t i = 0; i < sent.size(); ++i) {
+    auto got = received.pop_for(seconds(5));
+    ASSERT_TRUE(got.has_value()) << "frame " << i << " never arrived";
+    ASSERT_EQ(got->type, sent[i].type) << "frame " << i;
+    ASSERT_TRUE(got->payload == sent[i].payload) << "frame " << i;
+    ASSERT_EQ(got->trace, sent[i].trace) << "frame " << i;
+  }
+}
+
+TEST(TcpTest, MixedInlineAndHeapFramesSurviveSplitsTracedAndUntraced) {
+  Queue<wire::Frame> received;
+  TcpNetwork net;
+  auto server = net.bind("127.0.0.1:0", {}).value();
+  server->set_frame_handler(
+      [&](ConnId, wire::Frame f) { received.push(std::move(f)); });
+  Rng rng(0x1A1'5EED);
+
+  // Read path: the frames' stream cut at seeded offsets, most of them
+  // inside a header, a trailer or a small payload.
+  const std::vector<wire::Frame> streamed = mixed_frames(rng, 400);
+  wire::Bytes stream;
+  for (const auto& frame : streamed) {
+    const wire::Bytes bytes = wire_image(frame);
+    stream.insert(stream.end(), bytes.begin(), bytes.end());
+  }
+  RawClient raw(server->address());
+  ASSERT_TRUE(raw.connected());
+  for (std::size_t pos = 0; pos < stream.size();) {
+    std::size_t cut = 1 + rng.next_below(rng.bernoulli(0.8)
+                                             ? wire::kFrameHeaderSize + 20
+                                             : 2 * kReadChunk);
+    cut = std::min(cut, stream.size() - pos);
+    ASSERT_TRUE(raw.write_all(std::span(stream).subspan(pos, cut)));
+    pos += cut;
+    if (rng.bernoulli(0.2)) std::this_thread::sleep_for(50us);
+  }
+  expect_received(received, streamed);
+
+  // Write path: the endpoint writes each frame from its parts (unicast)
+  // or from one shared image, alternating at random; the large frames
+  // fill the socket, so writes stop and resume inside frames.
+  auto client = net.bind("127.0.0.1:0", {}).value();
+  const ConnId conn = client->connect(server->address()).value();
+  const std::vector<wire::Frame> sent = mixed_frames(rng, 400);
+  for (const auto& frame : sent) {
+    const Status status =
+        rng.bernoulli(0.5)
+            ? client->send(conn, frame)
+            : client->send_shared(conn, wire::SharedFrame::from_frame(frame));
+    ASSERT_TRUE(status.is_ok());
+  }
+  expect_received(received, sent);
+  std::size_t bytes = stream.size();
+  for (const auto& frame : sent) bytes += frame.wire_size();
+  EXPECT_TRUE(eventually([&] {
+    return server->counters().bytes_received == bytes;
+  }));
+  EXPECT_EQ(client->counters().bytes_sent, bytes - stream.size());
+}
+
 TEST(TcpTest, BadHeaderClosesOnlyThatConnection) {
   Queue<ConnId> closed;  // declared first: the server's loop pushes to it
   TcpNetwork net;
@@ -430,7 +523,7 @@ TEST(TcpTest, BadHeaderClosesOnlyThatConnection) {
   EchoClient client(net, server->address());
   ASSERT_TRUE(client.round_trip(1));
 
-  wire::Bytes bad_magic = test_frame(2).serialize();
+  wire::Bytes bad_magic = wire_image(test_frame(2));
   bad_magic[0] ^= 0xFF;
   wire::Encoder too_long;
   wire::FrameHeader{3, 0, wire::kMaxFramePayload + 1}.encode(too_long);
@@ -490,7 +583,7 @@ TEST(TcpTest, SendQueueOverflowClosesOnlyTheStalledConnection) {
   ASSERT_TRUE(stalled.connected());
   wire::Bytes burst;
   for (int i = 0; i < 8; ++i) {
-    const wire::Bytes request = test_frame(1).serialize();
+    const wire::Bytes request = wire_image(test_frame(1));
     burst.insert(burst.end(), request.begin(), request.end());
   }
   ASSERT_TRUE(stalled.write_all(burst));

@@ -54,10 +54,15 @@ TEST(SharedFrameTest, ToFrameRoundTrips) {
 }
 
 TEST(SharedFrameTest, MatchesFrameSerialize) {
-  // The shared wire image must be byte-identical to Frame::serialize(),
-  // since TCP peers decode either form from the same stream.
+  // The shared wire image must be byte-identical to a unicast frame's
+  // header + payload, since TCP peers decode either form from the same
+  // stream.
   const Frame frame = make_frame(11, 57);
-  const Bytes serialized = frame.serialize();
+  Encoder enc;
+  FrameHeader{frame.type, 0, static_cast<std::uint32_t>(frame.payload.size())}
+      .encode(enc);
+  enc.put_raw(frame.payload);
+  const Bytes serialized = enc.take();
   const auto image = SharedFrame::from_frame(frame).wire_image();
   ASSERT_EQ(image.size(), serialized.size());
   EXPECT_TRUE(std::equal(image.begin(), image.end(), serialized.begin()));

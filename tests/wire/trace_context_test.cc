@@ -22,7 +22,7 @@ TEST(TraceContextTest, SerializeAppendsFlaggedTrailer) {
   frame.payload = {1, 2, 3, 4, 5};
   frame.trace = TraceContext{0x1122334455667788ull, 0xAABBCCDDEEFF0011ull};
 
-  const Bytes bytes = frame.serialize();
+  const Bytes bytes(SharedFrame::from_frame(frame).wire_image());
   ASSERT_EQ(bytes.size(), kFrameHeaderSize + 5 + kTraceContextSize);
   EXPECT_EQ(frame.wire_size(), bytes.size());
 
@@ -42,7 +42,7 @@ TEST(TraceContextTest, UntracedFrameKeepsPreTracingFormat) {
   Frame frame;
   frame.type = 3;
   frame.payload = {9, 9, 9};
-  const Bytes bytes = frame.serialize();
+  const Bytes bytes(SharedFrame::from_frame(frame).wire_image());
   ASSERT_EQ(bytes.size(), kFrameHeaderSize + 3);
   const auto header = FrameHeader::decode(bytes).value();
   EXPECT_EQ(header.flags, 0);
