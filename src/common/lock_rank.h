@@ -29,7 +29,9 @@
 //                         transports, so it ranks above them... i.e.
 //                         below them numerically: chaos locks first)
 //   kTransportNetwork     transport::InProcNetwork address registry
-//   kTransportEndpoint    per-endpoint connection/handler state
+//   kTransportEndpoint    per-endpoint connection/handler state and
+//                         in-process outboxes (held while a chunk is
+//                         pushed onto a peer's Queue)
 //   kStage                stage::PosixStage limiter window
 //   kMonitor              monitor::ResourceMonitor collect window
 //   kQueue                common::Queue<T> (bounded MPMC)

@@ -9,9 +9,10 @@
 // close() racing a blocked pop()/push() always resolves (the predicates
 // observe `closed_` under the lock — see QueueShutdownTest).
 //
-// A producer that emits bursts can batch its wake-ups: push_quiet()
-// appends without signalling and reports whether a consumer sleeps;
-// the producer then calls wake() once, after the burst.
+// A producer that emits bursts can batch both its locking and its
+// wake-ups: push_quiet() appends a whole chunk under one lock without
+// signalling and reports whether a consumer sleeps; the producer then
+// calls wake() once, after the burst.
 //
 // Items live in a Ring of blocks. pop_all() hands the consumer the whole
 // chain and takes back the blocks of the consumer's previous batch, so a
@@ -30,7 +31,7 @@ namespace sds {
 
 /// Outcome of Queue::push_quiet().
 enum class QuietPush {
-  kRejected,  // closed, or a bounded queue is full (as try_push())
+  kRejected,  // closed, or a bounded queue has no room for the chunk
   kQueued,    // appended; no consumer was asleep
   kWakeOwed,  // appended while a consumer slept: call wake() later
 };
@@ -56,15 +57,30 @@ class Queue {
     return true;
   }
 
-  /// Non-blocking push that signals nobody, so a burst of pushes costs
-  /// no wake-ups. kWakeOwed means a consumer is blocked in a pop and
-  /// stays asleep until the caller calls wake(); the item itself is in
-  /// the queue at once, so it keeps its place relative to other pushes.
-  QuietPush push_quiet(T item) SDS_EXCLUDES(mu_) {
-    MutexLock lock(mu_);
-    if (closed_ || is_full()) return QuietPush::kRejected;
-    items_.push_back(std::move(item));
-    return sleepers_ > 0 ? QuietPush::kWakeOwed : QuietPush::kQueued;
+  /// Non-blocking push of a whole chunk that signals nobody, so a burst
+  /// costs one lock per chunk and no wake-ups. The chunk's items are
+  /// appended in order, or none of them when the queue is closed or
+  /// bounded without room for them all; either way `chunk` is left empty
+  /// with its blocks kept, so the producer refills it without allocating.
+  /// kWakeOwed means a consumer is blocked in a pop and stays asleep
+  /// until the caller calls wake(); the items are in the queue at once,
+  /// so they keep their place relative to other pushes. An empty chunk
+  /// appends nothing and owes nothing.
+  QuietPush push_quiet(Ring<T>& chunk) SDS_EXCLUDES(mu_) {
+    QuietPush result = QuietPush::kRejected;
+    {
+      MutexLock lock(mu_);
+      if (!closed_ &&
+          (capacity_ == 0 || items_.size() + chunk.size() <= capacity_)) {
+        result = sleepers_ > 0 && !chunk.empty() ? QuietPush::kWakeOwed
+                                                 : QuietPush::kQueued;
+        for (; !chunk.empty(); chunk.pop_front()) {
+          items_.push_back(std::move(chunk.front()));
+        }
+      }
+    }
+    chunk.clear();  // a rejected chunk's items die outside the lock
+    return result;
   }
 
   /// Wakes every consumer blocked in a pop — the deferred signal that a

@@ -32,6 +32,8 @@ class Ring {
   };
 
  public:
+  static constexpr std::size_t kBlockSize = kBlock;
+
   Ring() = default;
   Ring(const Ring&) = delete;
   Ring& operator=(const Ring&) = delete;
@@ -46,9 +48,12 @@ class Ring {
 
   T& front() { return *head_->slot(head_pos_); }
 
-  void push_back(T&& item) {
+  void push_back(T&& item) { emplace_back(std::move(item)); }
+
+  template <typename... Args>
+  void emplace_back(Args&&... args) {
     if (tail_ == nullptr || tail_pos_ == kBlock) add_block();
-    std::construct_at(tail_->slot(tail_pos_), std::move(item));
+    std::construct_at(tail_->slot(tail_pos_), std::forward<Args>(args)...);
     ++tail_pos_;
     ++size_;
   }

@@ -6,11 +6,14 @@
 // an O(fan-out) allocation cost inside the measured phase latency; at the
 // paper's scales (2,500 connections per node) that dominates. broadcast()
 // encodes once into a ref-counted wire::SharedFrame and queues the same
-// immutable wire image on every connection via Endpoint::send_shared.
+// immutable wire image on every connection with one
+// Endpoint::send_shared_all burst, which the transports hand over a chunk
+// at a time instead of a frame at a time.
 #pragma once
 
 #include <cstddef>
 #include <optional>
+#include <span>
 
 #include "proto/messages.h"
 #include "transport/transport.h"
@@ -18,27 +21,21 @@
 
 namespace sds::rpc {
 
-/// Send `frame` to every connection in `conns` (any iterable of ConnId).
-/// Returns the number of connections the frame was queued on; failures
-/// (closed connections) are skipped, matching the per-send behaviour the
-/// callers had before.
-template <typename ConnRange>
-std::size_t broadcast_shared(transport::Endpoint& endpoint,
-                             const ConnRange& conns,
-                             const wire::SharedFrame& frame) {
-  std::size_t queued = 0;
-  for (const auto& conn : conns) {
-    if (endpoint.send_shared(conn, frame).is_ok()) ++queued;
-  }
-  return queued;
+/// Send `frame` to every connection in `conns`, in order. Returns the
+/// number of connections the frame was queued on; closed connections are
+/// skipped.
+inline std::size_t broadcast_shared(transport::Endpoint& endpoint,
+                                    std::span<const ConnId> conns,
+                                    const wire::SharedFrame& frame) {
+  return endpoint.send_shared_all(conns, frame);
 }
 
 /// Encode `msg` exactly once and send it to every connection in `conns`.
 /// An optional trace context is encoded once into the shared image's
 /// trailer so every hop of the wave stitches into the same trace.
-template <typename M, typename ConnRange>
-std::size_t broadcast(transport::Endpoint& endpoint, const ConnRange& conns,
-                      const M& msg,
+template <typename M>
+std::size_t broadcast(transport::Endpoint& endpoint,
+                      std::span<const ConnId> conns, const M& msg,
                       std::optional<wire::TraceContext> trace = std::nullopt) {
   return broadcast_shared(endpoint, conns, proto::to_shared_frame(msg, trace));
 }

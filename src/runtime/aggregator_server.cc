@@ -269,9 +269,16 @@ void AggregatorServer::enforce_rules(
   proto::EnforceBatch single;
   single.cycle_id = cycle_id;
   single.rules.resize(1);
+  // Encoded and sent a transport chunk at a time from one kept vector, so
+  // the wave holds no frames sized by its fan-out.
   for (std::size_t i = 0; i < targets.size(); ++i) {
     single.rules.front() = *owned[i];
-    (void)endpoint_->send(targets[i], proto::to_frame(single, child_ctx));
+    enforce_sends_.emplace_back(targets[i], proto::to_frame(single, child_ctx));
+    if (enforce_sends_.size() == transport::kSendChunk ||
+        i + 1 == targets.size()) {
+      (void)endpoint_->send_all(enforce_sends_);
+      enforce_sends_.clear();
+    }
   }
   const Status wait = gather->wait_for(options_.phase_timeout);
   if (!wait.is_ok()) {

@@ -20,6 +20,7 @@
 #include <string>
 #include <thread>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/clock.h"
@@ -127,6 +128,10 @@ class AggregatorServer {
   bool started_ SDS_GUARDED_BY(mu_) = false;
 
   Queue<std::function<void()>> work_;
+  /// One enforce wave's frames, a transport chunk at a time; the worker
+  /// thread's alone.
+  // sdscheck: allow(unguarded-field)
+  std::vector<std::pair<ConnId, wire::Frame>> enforce_sends_;
   std::thread worker_;
 };
 

@@ -436,9 +436,7 @@ Result<core::PhaseBreakdown> GlobalControllerServer::run_cycle() {
     for (const auto& [conn, _] : deliveries) ack_conns.push_back(conn);
     auto ack_gather = dispatcher_.start_gather(proto::MessageType::kEnforceAck,
                                                cycle, ack_conns);
-    for (auto& [conn, frame] : deliveries) {
-      (void)endpoint_->send(conn, std::move(frame));
-    }
+    (void)endpoint_->send_all(deliveries);
     // Dissemination head of the enforce phase: rule batches encoded and
     // queued; the rest of the phase is the ack wait.
     breakdown.disseminate = phase.elapsed();

@@ -214,8 +214,12 @@ std::optional<wire::TraceContext> StageHost::trace_hop(
   span.cycle = cycle;
   span.start = begin;
   span.duration = clock_->now() - begin;
+  HopSpanId& id = hop_span_ids_[static_cast<std::size_t>(phase)];
+  if (id.span_id == 0 || id.trace_id != ctx.trace_id) {
+    id = {ctx.trace_id, telemetry::derive_span_id(ctx.trace_id, track, name)};
+  }
   span.trace_id = ctx.trace_id;
-  span.span_id = telemetry::derive_span_id(ctx.trace_id, track, name);
+  span.span_id = id.span_id;
   span.parent_span = ctx.parent_span;
   span.phase = phase;
   telemetry_.flight().record(span);

@@ -9,6 +9,7 @@
 // controller list and re-registers (paper §VI dependability).
 #pragma once
 
+#include <array>
 #include <memory>
 #include <optional>
 #include <string>
@@ -97,10 +98,12 @@ class StageHost {
   void on_frame(ConnId conn, wire::Frame frame);
   /// Record a hop span for a traced inbound frame and return the trace
   /// context to echo on the reply (nullopt when the frame was untraced).
+  /// Each phase has one hop name.
   std::optional<wire::TraceContext> trace_hop(const wire::Frame& frame,
                                               const char* name,
                                               std::uint64_t cycle, Nanos begin,
-                                              telemetry::SpanPhase phase);
+                                              telemetry::SpanPhase phase)
+      SDS_REQUIRES(mu_);
   void on_conn_event(ConnId conn, transport::ConnEvent event);
   Status register_stage(std::size_t index, std::size_t address_index);
 
@@ -131,6 +134,16 @@ class StageHost {
   /// Inbound enforce batches decode into this one message, so its rule
   /// vector's storage is reused from frame to frame.
   proto::EnforceBatch enforce_batch_ SDS_GUARDED_BY(mu_);
+  /// The last hop span id derived per phase: every stage's hop in one
+  /// cycle shares the trace, the track and the name, so the id is
+  /// derived once per cycle and phase instead of once per stage.
+  struct HopSpanId {
+    std::uint64_t trace_id = 0;
+    std::uint64_t span_id = 0;  // 0: none derived yet
+  };
+  std::array<HopSpanId,
+             static_cast<std::size_t>(telemetry::SpanPhase::kEnforce) + 1>
+      hop_span_ids_ SDS_GUARDED_BY(mu_);
   std::uint64_t collects_answered_ SDS_GUARDED_BY(mu_) = 0;
   bool started_ SDS_GUARDED_BY(mu_) = false;
   bool shutting_down_ SDS_GUARDED_BY(mu_) = false;

@@ -107,6 +107,12 @@ struct WriteBuf {
     return buf;
   }
 
+  static WriteBuf broadcast(const wire::SharedFrame& frame) {
+    WriteBuf buf;
+    buf.shared = frame;  // ref-count bump, no payload copy
+    return buf;
+  }
+
   [[nodiscard]] std::size_t size() const {
     return shared.empty() ? ends.size() + payload.size() : shared.wire_size();
   }
@@ -254,23 +260,37 @@ class TcpEndpoint final : public Endpoint {
   }
 
   Status send(ConnId conn, wire::Frame frame) override {
-    if (stopping_.load(std::memory_order_acquire)) {
-      return Status::unavailable("endpoint shut down");
-    }
-    counters_.on_send(frame.wire_size());
-    queue_send(conn, WriteBuf::unicast(std::move(frame)));
-    return Status::ok();
+    const std::size_t queued =
+        queue_burst(1, frame.wire_size(), [&](std::size_t) {
+          return Outgoing{conn, WriteBuf::unicast(std::move(frame))};
+        });
+    return queued == 1 ? Status::ok()
+                       : Status::unavailable("endpoint shut down");
   }
 
   Status send_shared(ConnId conn, const wire::SharedFrame& frame) override {
-    if (stopping_.load(std::memory_order_acquire)) {
-      return Status::unavailable("endpoint shut down");
-    }
-    counters_.on_send(frame.wire_size());
-    WriteBuf buf;
-    buf.shared = frame;  // ref-count bump, no payload copy
-    queue_send(conn, std::move(buf));
-    return Status::ok();
+    const ConnId conns[] = {conn};
+    return send_shared_all(conns, frame) == 1
+               ? Status::ok()
+               : Status::unavailable("endpoint shut down");
+  }
+
+  std::size_t send_all(
+      std::span<std::pair<ConnId, wire::Frame>> sends) override {
+    std::size_t bytes = 0;
+    for (const auto& [conn, frame] : sends) bytes += frame.wire_size();
+    return queue_burst(sends.size(), bytes, [&](std::size_t i) {
+      auto& [conn, frame] = sends[i];
+      return Outgoing{conn, WriteBuf::unicast(std::move(frame))};
+    });
+  }
+
+  std::size_t send_shared_all(std::span<const ConnId> conns,
+                              const wire::SharedFrame& frame) override {
+    return queue_burst(conns.size(), conns.size() * frame.wire_size(),
+                       [&](std::size_t i) {
+                         return Outgoing{conns[i], WriteBuf::broadcast(frame)};
+                       });
   }
 
   void close(ConnId conn) override {
@@ -317,14 +337,21 @@ class TcpEndpoint final : public Endpoint {
 
   void release_slot() { slots_.fetch_sub(1, std::memory_order_relaxed); }
 
-  void queue_send(ConnId conn, WriteBuf buf) {
+  /// Appends `count` sends of `bytes` in total to the outbox, `next(i)`
+  /// making the i-th, under one lock and with at most one eventfd write.
+  /// Returns `count`, or 0 once the endpoint is shutting down.
+  template <typename Next>
+  std::size_t queue_burst(std::size_t count, std::size_t bytes, Next next) {
+    if (count == 0 || stopping_.load(std::memory_order_acquire)) return 0;
+    counters_.on_send(bytes, count);
     bool was_idle = false;
     {
       MutexLock lock(mu_);
       was_idle = outbox_.empty() && commands_.empty();
-      outbox_.push_back({conn, std::move(buf)});
+      for (std::size_t i = 0; i < count; ++i) outbox_.push_back(next(i));
     }
     wake_if_idle(was_idle);
+    return count;
   }
 
   void post_command(std::function<void()> run) {
@@ -346,6 +373,7 @@ class TcpEndpoint final : public Endpoint {
   void wake() {
     const std::uint64_t one = 1;
     [[maybe_unused]] const auto n = ::write(wake_fd_, &one, sizeof(one));
+    counters_.on_wakeup();
   }
 
   // ------------------------------------------------------------------
@@ -590,6 +618,7 @@ class TcpEndpoint final : public Endpoint {
       }
       ssize_t n =
           ::writev(conn.fd, iov.data(), static_cast<int>(iov_count));
+      counters_.on_handoff();
       if (n < 0) {
         if (errno == EAGAIN || errno == EWOULDBLOCK) break;
         close_conn(conn, /*notify=*/true);

@@ -14,6 +14,8 @@ void bind_endpoint_metrics(telemetry::MetricsRegistry& registry,
   auto* dialed = registry.gauge("sds_transport_connections_dialed", labels);
   auto* rejected = registry.gauge("sds_transport_connections_rejected", labels);
   auto* current = registry.gauge("sds_transport_connections_current", labels);
+  auto* handoffs = registry.gauge("sds_transport_handoffs", labels);
+  auto* wakeups = registry.gauge("sds_transport_wakeups", labels);
   registry.add_collector([=](telemetry::MetricsRegistry&) {
     const Counters c = endpoint->counters();
     bytes_sent->set(static_cast<double>(c.bytes_sent));
@@ -24,6 +26,8 @@ void bind_endpoint_metrics(telemetry::MetricsRegistry& registry,
     dialed->set(static_cast<double>(c.connections_dialed));
     rejected->set(static_cast<double>(c.connections_rejected));
     current->set(static_cast<double>(c.current_connections));
+    handoffs->set(static_cast<double>(c.handoffs));
+    wakeups->set(static_cast<double>(c.wakeups));
   });
 }
 

@@ -6,12 +6,34 @@
 //
 // Threading contract: the transport invokes `FrameHandler` and
 // `ConnEventHandler` from a single delivery thread per endpoint, so
-// handler code needs no internal locking against itself. `send()` is
-// thread-safe and non-blocking (frames are queued for transmission).
-// A handler's own sends go out when its batch of deliveries returns:
-// TCP writes them then, and the in-process transport queues them at
-// once but wakes the peer then. A handler must therefore not block
-// waiting for a reply to its own send.
+// handler code needs no internal locking against itself. `send()` and
+// the burst calls are thread-safe and non-blocking (frames are queued
+// for transmission).
+//
+// Frames cross to another thread a chunk at a time. The in-process
+// transport stages each send in a per-peer outbox under the endpoint's
+// lock and hands the outbox to the peer's queue in chunks of at most
+// kSendChunk frames, counting them first, so a frame is in its sender's
+// and its receiver's counters before the receiver can deliver it:
+//   - A handler's send on its own endpoint's delivery thread waits in
+//     the outbox until a chunk fills or the handler's batch of
+//     deliveries returns. Full chunks are handed over without a signal;
+//     each peer that slept through one is woken once, when the batch
+//     returns. TCP likewise writes a handler's sends when its batch
+//     returns. A handler must therefore not block waiting for a reply
+//     to its own send.
+//   - A send from any other thread hands over the peer's outbox together
+//     with its own frame, so it lands behind every frame staged before
+//     it, and wakes a sleeping peer at once. In-process, `send_all` and
+//     `send_shared_all` take the lock and the peer's queue once per
+//     chunk, not once per frame, and never hold the lock for a whole
+//     burst; over TCP they queue a whole burst under one lock with at
+//     most one eventfd write.
+//   - `close()` hands over the outbox before the peer's `kClosed` is
+//     queued, and the endpoint a peer closes on hands over what it
+//     staged for that peer before the peer's own `kClosed` is queued, so
+//     on both ends every frame sent on a connection arrives before its
+//     close.
 //
 // Connection caps: every endpoint enforces `max_connections` across
 // inbound + outbound connections. This models the physical limit the
@@ -24,7 +46,9 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <span>
 #include <string>
+#include <utility>
 
 #include "common/status.h"
 #include "common/types.h"
@@ -43,7 +67,18 @@ struct Counters {
   std::uint64_t connections_dialed = 0;
   std::uint64_t connections_rejected = 0;  // over the cap
   std::uint64_t current_connections = 0;
+  /// Batches of frames handed to another thread: in-process, chunks put
+  /// on a peer's queue; over TCP, writev calls.
+  std::uint64_t handoffs = 0;
+  /// Signals to a sleeping thread: in-process, wakes of a peer's queue;
+  /// over TCP, eventfd writes.
+  std::uint64_t wakeups = 0;
 };
+
+/// The most frames a transport hands to another thread at once (one
+/// block of an in-process queue). Burst callers that encode their frames
+/// in batches of this size keep no storage sized by their fan-out.
+inline constexpr std::size_t kSendChunk = 64;
 
 enum class ConnEvent { kOpened, kClosed };
 
@@ -81,6 +116,31 @@ class Endpoint {
     return send(conn, frame.to_frame());
   }
 
+  /// Queue each frame on its connection, moving it out of `sends`, in
+  /// order. Returns how many were queued; frames for closed connections
+  /// are skipped. The default sends frame by frame; inproc/tcp override
+  /// it to pay their locks and wake-ups once per chunk or burst.
+  virtual std::size_t send_all(
+      std::span<std::pair<ConnId, wire::Frame>> sends) {
+    std::size_t queued = 0;
+    for (auto& [conn, frame] : sends) {
+      if (send(conn, std::move(frame)).is_ok()) ++queued;
+    }
+    return queued;
+  }
+
+  /// Queue one shared image on every connection in `conns`, in order.
+  /// Returns how many were queued; closed connections are skipped. The
+  /// default sends frame by frame, as `send_all` does.
+  virtual std::size_t send_shared_all(std::span<const ConnId> conns,
+                                      const wire::SharedFrame& frame) {
+    std::size_t queued = 0;
+    for (const ConnId conn : conns) {
+      if (send_shared(conn, frame).is_ok()) ++queued;
+    }
+    return queued;
+  }
+
   virtual void close(ConnId conn) = 0;
 
   /// Stop delivery, close all connections, join internal threads.
@@ -99,50 +159,69 @@ class Network {
       const std::string& address, const EndpointOptions& options) = 0;
 };
 
-/// Thread-safe counter block shared by transport implementations.
+/// Thread-safe counter block shared by transport implementations. The
+/// sent side, the received side and the connection counts sit on their
+/// own cache lines: in-process, a sender counts a chunk on its own sent
+/// side and on the peer's received side, so the threads that send from
+/// an endpoint and the threads that send to it never share a line.
 class CounterBlock {
  public:
-  void on_send(std::size_t bytes) {
-    bytes_sent_.fetch_add(bytes, std::memory_order_relaxed);
-    messages_sent_.fetch_add(1, std::memory_order_relaxed);
+  void on_send(std::size_t bytes, std::size_t messages = 1) {
+    sent_.bytes.fetch_add(bytes, std::memory_order_relaxed);
+    sent_.messages.fetch_add(messages, std::memory_order_relaxed);
   }
-  void on_receive(std::size_t bytes) {
-    bytes_received_.fetch_add(bytes, std::memory_order_relaxed);
-    messages_received_.fetch_add(1, std::memory_order_relaxed);
+  void on_receive(std::size_t bytes, std::size_t messages = 1) {
+    received_.bytes.fetch_add(bytes, std::memory_order_relaxed);
+    received_.messages.fetch_add(messages, std::memory_order_relaxed);
   }
+  void on_handoff() { sent_.handoffs.fetch_add(1, std::memory_order_relaxed); }
+  void on_wakeup() { sent_.wakeups.fetch_add(1, std::memory_order_relaxed); }
   void on_accept() {
-    connections_accepted_.fetch_add(1, std::memory_order_relaxed);
-    current_connections_.fetch_add(1, std::memory_order_relaxed);
+    conns_.accepted.fetch_add(1, std::memory_order_relaxed);
+    conns_.current.fetch_add(1, std::memory_order_relaxed);
   }
   void on_dial() {
-    connections_dialed_.fetch_add(1, std::memory_order_relaxed);
-    current_connections_.fetch_add(1, std::memory_order_relaxed);
+    conns_.dialed.fetch_add(1, std::memory_order_relaxed);
+    conns_.current.fetch_add(1, std::memory_order_relaxed);
   }
-  void on_reject() { connections_rejected_.fetch_add(1, std::memory_order_relaxed); }
-  void on_close() { current_connections_.fetch_sub(1, std::memory_order_relaxed); }
+  void on_reject() { conns_.rejected.fetch_add(1, std::memory_order_relaxed); }
+  void on_close() { conns_.current.fetch_sub(1, std::memory_order_relaxed); }
 
   [[nodiscard]] Counters snapshot() const {
     Counters c;
-    c.bytes_sent = bytes_sent_.load(std::memory_order_relaxed);
-    c.bytes_received = bytes_received_.load(std::memory_order_relaxed);
-    c.messages_sent = messages_sent_.load(std::memory_order_relaxed);
-    c.messages_received = messages_received_.load(std::memory_order_relaxed);
-    c.connections_accepted = connections_accepted_.load(std::memory_order_relaxed);
-    c.connections_dialed = connections_dialed_.load(std::memory_order_relaxed);
-    c.connections_rejected = connections_rejected_.load(std::memory_order_relaxed);
-    c.current_connections = current_connections_.load(std::memory_order_relaxed);
+    c.bytes_sent = sent_.bytes.load(std::memory_order_relaxed);
+    c.bytes_received = received_.bytes.load(std::memory_order_relaxed);
+    c.messages_sent = sent_.messages.load(std::memory_order_relaxed);
+    c.messages_received = received_.messages.load(std::memory_order_relaxed);
+    c.connections_accepted = conns_.accepted.load(std::memory_order_relaxed);
+    c.connections_dialed = conns_.dialed.load(std::memory_order_relaxed);
+    c.connections_rejected = conns_.rejected.load(std::memory_order_relaxed);
+    c.current_connections = conns_.current.load(std::memory_order_relaxed);
+    c.handoffs = sent_.handoffs.load(std::memory_order_relaxed);
+    c.wakeups = sent_.wakeups.load(std::memory_order_relaxed);
     return c;
   }
 
  private:
-  std::atomic<std::uint64_t> bytes_sent_{0};
-  std::atomic<std::uint64_t> bytes_received_{0};
-  std::atomic<std::uint64_t> messages_sent_{0};
-  std::atomic<std::uint64_t> messages_received_{0};
-  std::atomic<std::uint64_t> connections_accepted_{0};
-  std::atomic<std::uint64_t> connections_dialed_{0};
-  std::atomic<std::uint64_t> connections_rejected_{0};
-  std::atomic<std::uint64_t> current_connections_{0};
+  struct alignas(64) Sent {
+    std::atomic<std::uint64_t> bytes{0};
+    std::atomic<std::uint64_t> messages{0};
+    std::atomic<std::uint64_t> handoffs{0};
+    std::atomic<std::uint64_t> wakeups{0};
+  };
+  struct alignas(64) Received {
+    std::atomic<std::uint64_t> bytes{0};
+    std::atomic<std::uint64_t> messages{0};
+  };
+  struct alignas(64) Conns {
+    std::atomic<std::uint64_t> accepted{0};
+    std::atomic<std::uint64_t> dialed{0};
+    std::atomic<std::uint64_t> rejected{0};
+    std::atomic<std::uint64_t> current{0};
+  };
+  Sent sent_;
+  Received received_;
+  Conns conns_;
 };
 
 }  // namespace sds::transport

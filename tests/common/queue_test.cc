@@ -28,6 +28,18 @@ std::vector<int> items(const Ring<int>& batch) {
   return {batch.begin(), batch.end()};
 }
 
+/// A quiet push of a one-item chunk.
+QuietPush push_quiet_one(Queue<int>& q, int item) {
+  Ring<int> chunk;
+  chunk.push_back(std::move(item));
+  return q.push_quiet(chunk);
+}
+
+/// A chunk holding `count` consecutive items from `first`.
+void fill(Ring<int>& chunk, int first, int count) {
+  for (int i = 0; i < count; ++i) chunk.push_back(first + i);
+}
+
 TEST(QueueTest, PushPopSingleThread) {
   Queue<int> q;
   EXPECT_TRUE(q.push(1));
@@ -123,7 +135,7 @@ TEST(QueueTest, BoundedFullAndCloseAcrossWraps) {
   for (int round = 0; round < 3 * kBlock; ++round) {
     while (q.try_push(next_in)) ++next_in;  // fills to the bound
     ASSERT_EQ(q.size(), 5u);
-    EXPECT_EQ(q.push_quiet(next_in), QuietPush::kRejected);
+    EXPECT_EQ(push_quiet_one(q, next_in), QuietPush::kRejected);
     ASSERT_EQ(q.pop(), next_out++);
   }
   q.close();
@@ -233,9 +245,9 @@ TEST(QueueTest, MpmcStressPreservesAllItems) {
 
 TEST(QueueTest, QuietPushWithoutSleeperOwesNothing) {
   Queue<int> q;
-  EXPECT_EQ(q.push_quiet(1), QuietPush::kQueued);
+  EXPECT_EQ(push_quiet_one(q, 1), QuietPush::kQueued);
   EXPECT_TRUE(q.push(2));
-  EXPECT_EQ(q.push_quiet(3), QuietPush::kQueued);
+  EXPECT_EQ(push_quiet_one(q, 3), QuietPush::kQueued);
   Ring<int> batch;
   ASSERT_TRUE(q.pop_all(batch));
   EXPECT_EQ(items(batch), (std::vector<int>{1, 2, 3}));  // quiet pushes keep order
@@ -244,10 +256,10 @@ TEST(QueueTest, QuietPushWithoutSleeperOwesNothing) {
 
 TEST(QueueTest, QuietPushRejectedWhenClosedOrFull) {
   Queue<int> bounded(1);
-  EXPECT_EQ(bounded.push_quiet(1), QuietPush::kQueued);
-  EXPECT_EQ(bounded.push_quiet(2), QuietPush::kRejected);
+  EXPECT_EQ(push_quiet_one(bounded, 1), QuietPush::kQueued);
+  EXPECT_EQ(push_quiet_one(bounded, 2), QuietPush::kRejected);
   bounded.close();
-  EXPECT_EQ(bounded.push_quiet(3), QuietPush::kRejected);
+  EXPECT_EQ(push_quiet_one(bounded, 3), QuietPush::kRejected);
   EXPECT_EQ(bounded.pop(), 1);
   EXPECT_EQ(bounded.pop(), std::nullopt);
 }
@@ -266,7 +278,7 @@ TEST(QueueTest, QuietPushLeavesSleeperAsleepUntilWake) {
   int pushed = 0;
   bool owed = false;
   while (!owed) {
-    const QuietPush result = q.push_quiet(pushed++);
+    const QuietPush result = push_quiet_one(q, pushed++);
     EXPECT_NE(result, QuietPush::kRejected);
     owed = result == QuietPush::kWakeOwed;
     if (!owed && !spin_until([&] { return taken.load() == pushed; })) break;
@@ -305,7 +317,7 @@ TEST(QueueTest, QuietBurstsFromManyProducersAllArrive) {
       for (int b = 0; b < kBursts; ++b) {
         bool owed = false;
         for (int i = 0; i < kPerBurst; ++i) {
-          owed |= q.push_quiet(next++) == QuietPush::kWakeOwed;
+          owed |= push_quiet_one(q, next++) == QuietPush::kWakeOwed;
         }
         if (owed) q.wake();
       }
@@ -320,6 +332,125 @@ TEST(QueueTest, QuietBurstsFromManyProducersAllArrive) {
   consumer.join();
   EXPECT_EQ(consumed.load(), kTotal);
   EXPECT_EQ(sum.load(), static_cast<long long>(kTotal) * (kTotal - 1) / 2);
+}
+
+TEST(QueueTest, QuietChunkPushOfAnEmptyChunk) {
+  Queue<int> q;
+  Ring<int> chunk;
+  EXPECT_EQ(q.push_quiet(chunk), QuietPush::kQueued);
+  EXPECT_EQ(q.size(), 0u);
+  std::atomic<int> taken{0};
+  std::thread consumer([&] {
+    Ring<int> batch;
+    while (q.pop_all(batch)) {
+      taken.fetch_add(static_cast<int>(batch.size()));
+    }
+  });
+  // Push single items until one finds the consumer blocked; it stays
+  // blocked until wake(), and an empty chunk owes it nothing more.
+  int pushed = 0;
+  bool owed = false;
+  while (!owed) {
+    owed = push_quiet_one(q, pushed++) == QuietPush::kWakeOwed;
+    if (!owed && !spin_until([&] { return taken.load() == pushed; })) break;
+  }
+  ASSERT_TRUE(owed);
+  EXPECT_EQ(q.push_quiet(chunk), QuietPush::kQueued);
+  EXPECT_EQ(q.size(), 1u);
+  q.wake();
+  EXPECT_TRUE(spin_until([&] { return taken.load() == pushed; }));
+  q.close();
+  consumer.join();
+  EXPECT_EQ(q.push_quiet(chunk), QuietPush::kRejected);
+}
+
+TEST(QueueTest, QuietChunkPushAcrossTheWrap) {
+  Queue<int> q;
+  int next_in = 0;
+  int next_out = 0;
+  Ring<int> chunk;
+  // A backlog of 50 rolls through the blocks while whole chunks of up to
+  // a block and a half land across their wrap points.
+  for (int round = 0; round < 20; ++round) {
+    const int size = 1 + (round * 37) % (3 * kBlock / 2);
+    fill(chunk, next_in, size);
+    next_in += size;
+    ASSERT_EQ(q.push_quiet(chunk), QuietPush::kQueued);
+    EXPECT_TRUE(chunk.empty());
+    while (next_in - next_out > 50) ASSERT_EQ(q.try_pop(), next_out++);
+  }
+  Ring<int> batch;
+  ASSERT_TRUE(q.pop_all(batch));
+  std::vector<int> expected;
+  for (int i = next_out; i < next_in; ++i) expected.push_back(i);
+  EXPECT_EQ(items(batch), expected);
+}
+
+TEST(QueueTest, QuietChunkPushOnAClosedQueue) {
+  Queue<int> q;
+  ASSERT_TRUE(q.push(1));
+  q.close();
+  Ring<int> chunk;
+  fill(chunk, 2, 3);
+  EXPECT_EQ(q.push_quiet(chunk), QuietPush::kRejected);
+  EXPECT_TRUE(chunk.empty());  // the rejected items are gone either way
+  Ring<int> batch;
+  ASSERT_TRUE(q.pop_all(batch));
+  EXPECT_EQ(items(batch), std::vector<int>{1});
+  EXPECT_FALSE(q.pop_all(batch));
+}
+
+TEST(QueueTest, QuietChunkPushOnAFullBoundedQueue) {
+  Queue<int> q(5);
+  for (int i = 0; i < 3; ++i) ASSERT_TRUE(q.push(i));
+  Ring<int> chunk;
+  fill(chunk, 3, 3);  // one more than the room left: none go in
+  EXPECT_EQ(q.push_quiet(chunk), QuietPush::kRejected);
+  EXPECT_TRUE(chunk.empty());
+  EXPECT_EQ(q.size(), 3u);
+  fill(chunk, 3, 2);  // exactly the room left
+  EXPECT_EQ(q.push_quiet(chunk), QuietPush::kQueued);
+  EXPECT_EQ(q.size(), 5u);
+  fill(chunk, 5, 1);
+  EXPECT_EQ(q.push_quiet(chunk), QuietPush::kRejected);
+  Ring<int> batch;
+  ASSERT_TRUE(q.pop_all(batch));
+  EXPECT_EQ(items(batch), (std::vector<int>{0, 1, 2, 3, 4}));
+}
+
+TEST(QueueTest, QuietChunkPushOwesASleepingConsumerOneWake) {
+  Queue<int> q;
+  std::atomic<int> batches{0};
+  std::atomic<int> taken{0};
+  std::thread consumer([&] {
+    Ring<int> batch;
+    while (q.pop_all(batch)) {
+      batches.fetch_add(1);
+      taken.fetch_add(static_cast<int>(batch.size()));
+    }
+  });
+  // Chunks of a block each, until one finds the consumer blocked.
+  Ring<int> chunk;
+  int pushed = 0;
+  bool owed = false;
+  while (!owed) {
+    fill(chunk, pushed, kBlock);
+    pushed += kBlock;
+    const QuietPush result = q.push_quiet(chunk);
+    ASSERT_NE(result, QuietPush::kRejected);
+    owed = result == QuietPush::kWakeOwed;
+    if (!owed && !spin_until([&] { return taken.load() == pushed; })) break;
+  }
+  ASSERT_TRUE(owed);
+  const int batches_before = batches.load();
+  // The owed chunk waits for wake(); the consumer was never signalled.
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_EQ(taken.load(), pushed - kBlock);
+  q.wake();
+  EXPECT_TRUE(spin_until([&] { return taken.load() == pushed; }));
+  EXPECT_EQ(batches.load(), batches_before + 1);  // the chunk, whole
+  q.close();
+  consumer.join();
 }
 
 }  // namespace

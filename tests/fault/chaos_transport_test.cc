@@ -8,6 +8,8 @@
 #include <atomic>
 #include <chrono>
 #include <thread>
+#include <utility>
+#include <vector>
 
 #include "common/queue.h"
 #include "telemetry/export.h"
@@ -103,6 +105,60 @@ TEST(ChaosTransportTest, DelayedFramesStillArrive) {
   }
   ASSERT_TRUE(eventually([&] { return received.load() == 5; }));
   EXPECT_EQ(net.stats().delayed, 5u);
+}
+
+TEST(ChaosTransportTest, BurstsDrawOneFatePerFrame) {
+  // A chaos endpoint keeps the per-frame loop for the burst calls, so a
+  // fixed seed injects the same faults whichever way a wave is sent.
+  constexpr int kFrames = 300;
+  ChaosNetwork::Options options;
+  options.seed = 11;
+  options.drop_probability = 0.1;
+  options.duplicate_probability = 0.1;
+  options.delay_probability = 0.1;
+  options.delay = micros(50);
+  const auto run = [&](bool burst) {
+    std::atomic<int> received{0};
+    transport::InProcNetwork base;
+    ChaosNetwork net(base, options);
+    auto server = net.bind("server", {}).value();
+    auto client = net.bind("client", {}).value();
+    server->set_frame_handler([&](ConnId, wire::Frame) { ++received; });
+    std::vector<ConnId> conns;
+    for (int i = 0; i < 3; ++i) {
+      conns.push_back(client->connect("server").value());
+    }
+    const wire::SharedFrame shared =
+        wire::SharedFrame::from_frame(test_frame(2));
+    if (burst) {
+      std::vector<std::pair<ConnId, wire::Frame>> sends;
+      for (int i = 0; i < kFrames; ++i) {
+        sends.emplace_back(conns[i % 3], test_frame(1));
+      }
+      EXPECT_EQ(client->send_all(sends), static_cast<std::size_t>(kFrames));
+      EXPECT_EQ(client->send_shared_all(conns, shared), conns.size());
+    } else {
+      for (int i = 0; i < kFrames; ++i) {
+        EXPECT_TRUE(client->send(conns[i % 3], test_frame(1)).is_ok());
+      }
+      for (const ConnId conn : conns) {
+        EXPECT_TRUE(client->send_shared(conn, shared).is_ok());
+      }
+    }
+    const ChaosStats stats = net.stats();
+    const int expected = kFrames + 3 - static_cast<int>(stats.dropped) +
+                         static_cast<int>(stats.duplicated);
+    EXPECT_TRUE(eventually([&] { return received.load() == expected; }));
+    return stats;
+  };
+  const ChaosStats looped = run(/*burst=*/false);
+  const ChaosStats burst = run(/*burst=*/true);
+  EXPECT_GT(looped.dropped, 0u);
+  EXPECT_GT(looped.duplicated, 0u);
+  EXPECT_GT(looped.delayed, 0u);
+  EXPECT_EQ(burst.dropped, looped.dropped);
+  EXPECT_EQ(burst.duplicated, looped.duplicated);
+  EXPECT_EQ(burst.delayed, looped.delayed);
 }
 
 TEST(ChaosTransportTest, PlanConvenienceConstructorAndMetrics) {

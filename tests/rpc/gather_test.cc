@@ -8,6 +8,7 @@
 #include <new>
 #include <thread>
 
+#include "rpc/broadcast.h"
 #include "telemetry/metrics.h"
 #include "transport/inproc.h"
 
@@ -413,6 +414,44 @@ TEST(RpcCallTest, TimesOutWithoutReply) {
                                       millis(50));
   EXPECT_FALSE(ack.is_ok());
   EXPECT_EQ(ack.status().code(), StatusCode::kDeadlineExceeded);
+}
+
+TEST(GatherCountersTest, WaveIsCountedWhenItsWaitReturns) {
+  // Every frame of a wave is in its sender's and its receiver's
+  // counters before the receiver can deliver it, so a controller that
+  // reads them right after a wave ends sees the whole wave.
+  transport::InProcNetwork net;
+  auto hosts = net.bind("hosts", {}).value();
+  auto controller = net.bind("controller", {}).value();
+  hosts->set_frame_handler([&](ConnId conn, wire::Frame frame) {
+    const auto request = proto::from_frame<proto::CollectRequest>(frame);
+    ASSERT_TRUE(request.is_ok());
+    (void)hosts->send(conn, metrics_frame(request->cycle_id, StageId{1}));
+  });
+  Dispatcher dispatcher;
+  controller->set_frame_handler([&](ConnId conn, wire::Frame frame) {
+    dispatcher.on_frame(conn, std::move(frame));
+  });
+  constexpr std::size_t kStages = 200;
+  std::vector<ConnId> conns;
+  for (std::size_t i = 0; i < kStages; ++i) {
+    conns.push_back(controller->connect("hosts").value());
+  }
+  for (std::uint64_t cycle = 1; cycle <= 30; ++cycle) {
+    auto gather = dispatcher.start_gather(proto::MessageType::kStageMetrics,
+                                          cycle, conns);
+    proto::CollectRequest request;
+    request.cycle_id = cycle;
+    ASSERT_EQ(broadcast(*controller, conns, request), kStages);
+    ASSERT_TRUE(gather->wait_for(seconds(10)).is_ok());
+    const std::uint64_t frames = cycle * kStages;
+    EXPECT_EQ(controller->counters().messages_sent, frames);
+    EXPECT_EQ(hosts->counters().messages_received, frames);
+    EXPECT_EQ(hosts->counters().messages_sent, frames) << "cycle " << cycle;
+    EXPECT_EQ(controller->counters().messages_received, frames)
+        << "cycle " << cycle;
+    dispatcher.finish(gather);
+  }
 }
 
 }  // namespace

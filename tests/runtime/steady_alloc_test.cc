@@ -15,6 +15,8 @@
 #include <cstdio>
 #include <cstdlib>
 #include <new>
+#include <utility>
+#include <vector>
 
 #include "runtime/deployment.h"
 
@@ -40,20 +42,54 @@ namespace {
 constexpr std::size_t kWarmupCycles = 50;
 constexpr std::size_t kCountedCycles = 100;
 
-/// Heap allocations per cycle over kCountedCycles steady cycles, after
-/// kWarmupCycles that let every buffer reach its high-water mark.
-double allocations_per_cycle(const DeploymentOptions& options) {
+/// Per-cycle costs of kCountedCycles steady cycles, after kWarmupCycles
+/// that let every buffer reach its high-water mark.
+struct SteadyCycle {
+  double allocations = -1;  // heap allocations
+  double frames = 0;        // frames sent, all endpoints
+  double handoffs = 0;      // chunks handed to another thread's queue
+};
+
+/// Frames sent and hand-offs made so far by every endpoint.
+std::pair<std::uint64_t, std::uint64_t> transport_totals(Deployment& d) {
+  std::vector<transport::Endpoint*> endpoints = {d.global().endpoint()};
+  for (auto& agg : d.aggregators()) endpoints.push_back(agg->endpoint());
+  for (auto& host : d.stage_hosts()) endpoints.push_back(host->endpoint());
+  std::uint64_t frames = 0;
+  std::uint64_t handoffs = 0;
+  for (const transport::Endpoint* endpoint : endpoints) {
+    frames += endpoint->counters().messages_sent;
+    handoffs += endpoint->counters().handoffs;
+  }
+  return {frames, handoffs};
+}
+
+SteadyCycle steady_cycle(const DeploymentOptions& options) {
   transport::InProcNetwork net;
   auto deployment = Deployment::create(net, options);
   EXPECT_TRUE(deployment.is_ok()) << deployment.status();
-  if (!deployment.is_ok()) return -1;
+  if (!deployment.is_ok()) return {};
   GlobalControllerServer& global = (*deployment)->global();
   EXPECT_TRUE(global.run_cycles(kWarmupCycles).is_ok());
+  const auto [frames_before, handoffs_before] = transport_totals(**deployment);
   const std::uint64_t before = g_allocations.load();
   EXPECT_TRUE(global.run_cycles(kCountedCycles).is_ok());
   const std::uint64_t counted = g_allocations.load() - before;
+  const auto [frames_after, handoffs_after] = transport_totals(**deployment);
   EXPECT_EQ(global.stats().cycles(), kWarmupCycles + kCountedCycles);
-  return static_cast<double>(counted) / kCountedCycles;
+  constexpr double kCycles = kCountedCycles;
+  return {static_cast<double>(counted) / kCycles,
+          static_cast<double>(frames_after - frames_before) / kCycles,
+          static_cast<double>(handoffs_after - handoffs_before) / kCycles};
+}
+
+/// In-process frames cross threads a chunk at a time: at most one
+/// hand-off per 16 frames (a frame at a time made one per frame).
+void expect_chunked_handoffs(const SteadyCycle& cycle) {
+  std::printf("  %.1f frames and %.2f hand-offs per steady cycle\n",
+              cycle.frames, cycle.handoffs);
+  EXPECT_GT(cycle.frames, 0);
+  EXPECT_LE(cycle.handoffs, cycle.frames / 16);
 }
 
 TEST(SteadyAllocTest, HierarchicalCycleAllocatesPerWaveNotPerStage) {
@@ -64,9 +100,11 @@ TEST(SteadyAllocTest, HierarchicalCycleAllocatesPerWaveNotPerStage) {
   options.num_aggregators = 1;
   options.stages_per_host = 500;
   options.stages_per_job = 50;
-  const double per_cycle = allocations_per_cycle(options);
+  const SteadyCycle cycle = steady_cycle(options);
+  const double per_cycle = cycle.allocations;
   std::printf("hier 500 stages: %.2f allocations per steady cycle\n",
               per_cycle);
+  expect_chunked_handoffs(cycle);
   EXPECT_GE(per_cycle, 0);
   // With per-frame heap payloads and deque-backed queues this shape
   // counted 3,136 per cycle; the bound is over ten times below that.
@@ -80,9 +118,11 @@ TEST(SteadyAllocTest, FlatDeltaCycleAllocatesPerWaveNotPerStage) {
   options.stages_per_host = 125;
   options.stages_per_job = 10;
   options.delta_metrics = true;
-  const double per_cycle = allocations_per_cycle(options);
+  const SteadyCycle cycle = steady_cycle(options);
+  const double per_cycle = cycle.allocations;
   std::printf("flat 250 stages, deltas: %.2f allocations per steady cycle\n",
               per_cycle);
+  expect_chunked_handoffs(cycle);
   EXPECT_GE(per_cycle, 0);
   // With per-frame heap payloads, deque-backed queues and per-connection
   // rule maps this shape counted 2,033 per cycle.

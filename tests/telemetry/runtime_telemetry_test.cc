@@ -180,5 +180,46 @@ TEST(RuntimeTelemetryTest, HierarchyReportsPerComponentSeries) {
   global.shutdown();
 }
 
+TEST(RuntimeTelemetryTest, TransportHandoffGaugesFollowTheCounters) {
+  telemetry::MetricsRegistry registry;
+  transport::InProcNetwork net;
+  GlobalServerOptions gopts;
+  gopts.core.budgets = {4000.0, 400.0};
+  gopts.telemetry.enabled = true;
+  gopts.telemetry.registry = &registry;
+  GlobalControllerServer global(net, "global", gopts);
+  ASSERT_TRUE(global.start().is_ok());
+  StageHostOptions hopts;
+  hopts.controller_addresses = {"global"};
+  StageHost host(net, "host0", hopts);
+  ASSERT_TRUE(host.start().is_ok());
+  for (std::uint32_t i = 0; i < 100; ++i) {
+    ASSERT_TRUE(host.add_stage({StageId{i}, NodeId{i}, JobId{0}, "n"},
+                               workload::constant(1000),
+                               workload::constant(100))
+                    .is_ok());
+  }
+  ASSERT_TRUE(host.register_all().is_ok());
+  const transport::Counters registered = global.endpoint()->counters();
+  ASSERT_TRUE(global.run_cycles(3).is_ok());
+
+  // The global's cycle sends all come from the thread running the
+  // cycles, so its counters are still when the cycles have returned.
+  const transport::Counters counters = global.endpoint()->counters();
+  const auto snap = registry.snapshot();
+  const Labels labels{{"component", "global"}};
+  const MetricSample* handoffs = snap.find("sds_transport_handoffs", labels);
+  const MetricSample* wakeups = snap.find("sds_transport_wakeups", labels);
+  ASSERT_NE(handoffs, nullptr);
+  ASSERT_NE(wakeups, nullptr);
+  EXPECT_EQ(handoffs->value, static_cast<double>(counters.handoffs));
+  EXPECT_EQ(wakeups->value, static_cast<double>(counters.wakeups));
+  // Each cycle's collect and enforce waves of 100 frames leave in two
+  // chunks each, not a hand-off per frame.
+  EXPECT_EQ(counters.messages_sent - registered.messages_sent, 600u);
+  EXPECT_EQ(counters.handoffs - registered.handoffs, 12u);
+  EXPECT_LE(counters.wakeups, counters.handoffs);
+}
+
 }  // namespace
 }  // namespace sds::runtime

@@ -2,10 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <future>
+#include <map>
+#include <mutex>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/queue.h"
@@ -401,6 +405,193 @@ TEST(InProcHandlerSendTest, HandlerSendThenCloseDeliversFrameFirst) {
   ASSERT_TRUE(a->send(self, test_frame(0)).is_ok());
   ASSERT_EQ(done.get_future().wait_for(10s), std::future_status::ready);
   EXPECT_EQ(events, (std::vector<int>{5, kClosedMark}));
+}
+
+TEST(InProcHandlerSendTest, StagedFramesArriveBeforeAPeerInitiatedClose) {
+  constexpr int kClosedMark = -1;
+  // Written on b's delivery thread only, read after `done`.
+  std::vector<int> events;
+  std::promise<ConnId> b_side;
+  std::promise<void> staged;
+  std::promise<void> closed;
+  const std::shared_future<void> closed_by_b = closed.get_future().share();
+  std::promise<void> done;
+  ConnId to_b;
+  InProcNetwork net;
+  auto a = net.bind("a", {}).value();
+  auto b = net.bind("b", {}).value();
+  b->set_frame_handler(
+      [&](ConnId, wire::Frame f) { events.push_back(f.type); });
+  b->set_conn_handler([&](ConnId conn, ConnEvent e) {
+    if (e == ConnEvent::kOpened) {
+      b_side.set_value(conn);
+      return;
+    }
+    events.push_back(kClosedMark);
+    done.set_value();
+  });
+  // On a's delivery thread: three frames wait in a's outbox while b
+  // closes the connection, before a's batch returns.
+  a->set_frame_handler([&](ConnId, wire::Frame) {
+    for (std::uint16_t i = 1; i <= 3; ++i) {
+      ASSERT_TRUE(a->send(to_b, test_frame(i)).is_ok());
+    }
+    staged.set_value();
+    closed_by_b.wait();
+  });
+  to_b = a->connect("b").value();
+  const ConnId b_conn = b_side.get_future().get();
+  const ConnId self = a->connect("a").value();
+  ASSERT_TRUE(a->send(self, test_frame(0)).is_ok());
+  staged.get_future().wait();
+  b->close(b_conn);
+  closed.set_value();
+  ASSERT_EQ(done.get_future().wait_for(10s), std::future_status::ready);
+  EXPECT_EQ(events, (std::vector<int>{1, 2, 3, kClosedMark}));
+}
+
+TEST(InProcHandlerSendTest, HandlerBurstToASleepingPeerArrivesAfterOneWake) {
+  constexpr int kBurst = 1000;
+  std::atomic<int> at_b{0};
+  std::promise<void> b_opened;
+  std::promise<void> b_done;
+  ConnId to_b;
+  InProcNetwork net;
+  auto a = net.bind("a", {}).value();
+  auto b = net.bind("b", {}).value();
+  auto trigger = net.bind("trigger", {}).value();
+  b->set_conn_handler([&](ConnId, ConnEvent e) {
+    if (e == ConnEvent::kOpened) b_opened.set_value();
+  });
+  b->set_frame_handler([&](ConnId, wire::Frame f) {
+    EXPECT_EQ(f.type, at_b.load());
+    if (at_b.fetch_add(1) + 1 == kBurst) b_done.set_value();
+  });
+  a->set_frame_handler([&](ConnId, wire::Frame) {
+    for (int i = 0; i < kBurst; ++i) {
+      ASSERT_TRUE(a->send(to_b, test_frame(static_cast<std::uint16_t>(i)))
+                      .is_ok());
+    }
+  });
+  to_b = a->connect("b").value();
+  b_opened.get_future().wait();
+  std::this_thread::sleep_for(20ms);  // b falls asleep on an empty queue
+  const Counters before = a->counters();
+  // The trigger comes from a third endpoint, so a's counters see only the
+  // handler's burst.
+  const ConnId to_a = trigger->connect("a").value();
+  ASSERT_TRUE(trigger->send(to_a, test_frame(0)).is_ok());
+  ASSERT_EQ(b_done.get_future().wait_for(10s), std::future_status::ready);
+  const Counters after = a->counters();
+  EXPECT_EQ(at_b.load(), kBurst);
+  EXPECT_EQ(after.messages_sent - before.messages_sent,
+            static_cast<std::uint64_t>(kBurst));
+  EXPECT_EQ(after.handoffs - before.handoffs,
+            (kBurst + kSendChunk - 1) / kSendChunk);
+  // One wake when the batch returned, since b slept through the quiet
+  // hand-overs; none if a loaded box kept b from falling asleep first.
+  EXPECT_LE(after.wakeups - before.wakeups, 1u);
+}
+
+// Burst calls hand frames over a chunk at a time.
+
+TEST(InProcBurstTest, SendAllKeepsOrderAgainstSendsFromAnotherThread) {
+  // A 1,000-frame burst and 1,000 single sends from another thread share
+  // four connections: each source's frames keep their order on every
+  // connection across the burst's chunk boundaries. The burst runs from
+  // a plain thread, and from a handler on a's delivery thread, where its
+  // frames wait in the outbox until another thread's send takes them.
+  constexpr std::uint16_t kConns = 4;
+  constexpr std::uint16_t kFrames = 1000;
+  for (const bool from_handler : {false, true}) {
+    SCOPED_TRACE(from_handler ? "burst from a handler" : "burst from a thread");
+    std::mutex mu;
+    std::map<ConnId, std::vector<std::uint16_t>> seen;  // by b's ConnId
+    std::size_t total = 0;
+    std::vector<ConnId> conns;
+    std::promise<void> start;
+    const std::shared_future<void> started = start.get_future().share();
+    InProcNetwork net;
+    auto a = net.bind("a", {}).value();
+    auto b = net.bind("b", {}).value();
+    b->set_frame_handler([&](ConnId conn, wire::Frame f) {
+      std::lock_guard<std::mutex> lock(mu);
+      seen[conn].push_back(f.type);
+      ++total;
+    });
+    for (std::uint16_t c = 0; c < kConns; ++c) {
+      conns.push_back(a->connect("b").value());
+    }
+    // Burst frame i and single send kFrames + i both go on conns[i % 4].
+    const auto burst = [&] {
+      std::vector<std::pair<ConnId, wire::Frame>> sends;
+      for (std::uint16_t i = 0; i < kFrames; ++i) {
+        sends.emplace_back(conns[i % kConns], test_frame(i));
+      }
+      start.set_value();
+      EXPECT_EQ(a->send_all(sends), kFrames);
+    };
+    std::thread singles([&] {
+      started.wait();
+      for (std::uint16_t i = 0; i < kFrames; ++i) {
+        EXPECT_TRUE(a->send(conns[i % kConns],
+                            test_frame(static_cast<std::uint16_t>(kFrames + i)))
+                        .is_ok());
+      }
+    });
+    if (from_handler) {
+      a->set_frame_handler([&](ConnId, wire::Frame) { burst(); });
+      const ConnId self = a->connect("a").value();
+      ASSERT_TRUE(a->send(self, test_frame(0)).is_ok());
+    } else {
+      burst();
+    }
+    singles.join();
+    ASSERT_TRUE(eventually([&] {
+      std::lock_guard<std::mutex> lock(mu);
+      return total == 2u * kFrames;
+    }));
+    std::lock_guard<std::mutex> lock(mu);
+    ASSERT_EQ(seen.size(), kConns);
+    for (const auto& [conn, types] : seen) {
+      std::vector<std::uint16_t> from_burst;
+      std::vector<std::uint16_t> from_singles;
+      for (const std::uint16_t type : types) {
+        (type < kFrames ? from_burst : from_singles).push_back(type);
+      }
+      ASSERT_FALSE(from_burst.empty());
+      const std::uint16_t lane = from_burst.front();
+      std::vector<std::uint16_t> burst_order;
+      std::vector<std::uint16_t> singles_order;
+      for (std::uint16_t i = lane; i < kFrames; i += kConns) {
+        burst_order.push_back(i);
+        singles_order.push_back(static_cast<std::uint16_t>(kFrames + i));
+      }
+      EXPECT_EQ(from_burst, burst_order) << "lane " << lane;
+      EXPECT_EQ(from_singles, singles_order) << "lane " << lane;
+    }
+  }
+}
+
+TEST(InProcBurstTest, SendAllSkipsClosedConnections) {
+  std::atomic<int> received{0};
+  InProcNetwork net;
+  auto a = net.bind("a", {}).value();
+  auto b = net.bind("b", {}).value();
+  b->set_frame_handler([&](ConnId, wire::Frame) { received.fetch_add(1); });
+  std::vector<ConnId> conns;
+  for (int i = 0; i < 3; ++i) conns.push_back(a->connect("b").value());
+  a->close(conns[1]);
+
+  std::vector<std::pair<ConnId, wire::Frame>> sends;
+  for (const ConnId conn : conns) sends.emplace_back(conn, test_frame(1));
+  EXPECT_EQ(a->send_all(sends), 2u);
+  const wire::SharedFrame shared =
+      wire::SharedFrame::from_frame(test_frame(2));
+  EXPECT_EQ(a->send_shared_all(conns, shared), 2u);
+  EXPECT_TRUE(eventually([&] { return received.load() == 4; }));
+  EXPECT_EQ(a->counters().messages_sent, 4u);
+  EXPECT_EQ(b->counters().messages_received, 4u);
 }
 
 }  // namespace

@@ -12,9 +12,11 @@
 #include <atomic>
 #include <cerrno>
 #include <chrono>
+#include <map>
 #include <span>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/queue.h"
@@ -509,6 +511,75 @@ TEST(TcpTest, MixedInlineAndHeapFramesSurviveSplitsTracedAndUntraced) {
     return server->counters().bytes_received == bytes;
   }));
   EXPECT_EQ(client->counters().bytes_sent, bytes - stream.size());
+}
+
+TEST(TcpTest, BurstsKeepPerConnectionOrderThroughASplitStream) {
+  // send_all and send_shared_all queue a whole burst under one outbox
+  // lock; across three connections, every frame arrives whole and in its
+  // connection's send order, though the large frames fill the sockets so
+  // that writes stop and resume inside frames.
+  Queue<std::pair<ConnId, wire::Frame>> received;
+  TcpNetwork net;
+  auto server = net.bind("127.0.0.1:0", {}).value();
+  server->set_frame_handler([&](ConnId c, wire::Frame f) {
+    received.push({c, std::move(f)});
+  });
+  auto client = net.bind("127.0.0.1:0", {}).value();
+  constexpr std::size_t kConns = 3;
+  std::vector<ConnId> conns;
+  for (std::size_t c = 0; c < kConns; ++c) {
+    conns.push_back(client->connect(server->address()).value());
+  }
+
+  Rng rng(0xB0'5EED);
+  std::vector<std::vector<wire::Frame>> expected(kConns);
+  std::size_t frames = 0;
+  std::size_t bytes = 0;
+  for (int round = 0; round < 2; ++round) {
+    // Frame i of a burst goes on conns[i % 3]; its type is unique.
+    std::vector<wire::Frame> burst = mixed_frames(rng, 150);
+    std::vector<std::pair<ConnId, wire::Frame>> sends;
+    for (std::size_t i = 0; i < burst.size(); ++i) {
+      burst[i].type = static_cast<std::uint16_t>(round * 1000 + i);
+      expected[i % kConns].push_back(burst[i]);
+      bytes += burst[i].wire_size();
+      sends.emplace_back(conns[i % kConns], std::move(burst[i]));
+    }
+    ASSERT_EQ(client->send_all(sends), sends.size());
+    frames += sends.size();
+
+    wire::Frame image = mixed_frames(rng, 1).front();
+    image.type = static_cast<std::uint16_t>(round * 1000 + 999);
+    image.payload.resize(2 * kReadChunk + 5);
+    const wire::SharedFrame shared = wire::SharedFrame::from_frame(image);
+    ASSERT_EQ(client->send_shared_all(conns, shared), kConns);
+    for (auto& lane : expected) lane.push_back(image);
+    frames += kConns;
+    bytes += kConns * image.wire_size();
+  }
+
+  // Each server-side connection's first frame names its lane.
+  std::map<ConnId, std::vector<wire::Frame>> arrived;
+  for (std::size_t i = 0; i < frames; ++i) {
+    auto got = received.pop_for(seconds(5));
+    ASSERT_TRUE(got.has_value()) << "frame " << i << " never arrived";
+    arrived[got->first].push_back(std::move(got->second));
+  }
+  ASSERT_EQ(arrived.size(), kConns);
+  for (const auto& [conn, lane] : arrived) {
+    const std::vector<wire::Frame>& sent = expected[lane.front().type % kConns];
+    ASSERT_EQ(lane.size(), sent.size());
+    for (std::size_t i = 0; i < sent.size(); ++i) {
+      ASSERT_EQ(lane[i].type, sent[i].type) << "frame " << i;
+      ASSERT_TRUE(lane[i].payload == sent[i].payload) << "frame " << i;
+      ASSERT_EQ(lane[i].trace, sent[i].trace) << "frame " << i;
+    }
+  }
+  EXPECT_EQ(client->counters().messages_sent, frames);
+  EXPECT_EQ(client->counters().bytes_sent, bytes);
+  EXPECT_TRUE(eventually([&] {
+    return server->counters().bytes_received == bytes;
+  }));
 }
 
 TEST(TcpTest, BadHeaderClosesOnlyThatConnection) {
