@@ -66,7 +66,7 @@ int main(int argc, char** argv) {
       telemetry.attach(config, label);
       const double row_x = x;
       sweep.add([&, config, label, row_x] {
-        auto result = bench::run_repeated(config);
+        auto result = bench::run_config(config);
         return [&, result, label, row_x] {
           if (!result.is_ok()) {
             std::printf("%-24s %s\n", label.c_str(),

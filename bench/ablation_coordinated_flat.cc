@@ -31,7 +31,7 @@ int main(int argc, char** argv) {
     hier.duration = bench::bench_duration();
     telemetry.attach(hier, hier_label);
     sweep.add([&, hier_label, k, hier] {
-      auto result = bench::run_repeated(hier);
+      auto result = bench::run_config(hier);
       return [&, hier_label, k, result] {
         if (!result.is_ok()) {
           std::printf("hier A=%zu: %s\n", k,
@@ -51,7 +51,7 @@ int main(int argc, char** argv) {
     coord.duration = bench::bench_duration();
     telemetry.attach(coord, coord_label);
     sweep.add([&, coord_label, k, coord] {
-      auto result = bench::run_repeated(coord);
+      auto result = bench::run_config(coord);
       return [&, coord_label, k, result] {
         if (!result.is_ok()) {
           // K=4 genuinely does not fit: each peer would hold 2,500 stage

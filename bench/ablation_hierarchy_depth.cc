@@ -21,7 +21,7 @@ void sweep_row(bench::Sweep& sweep, const std::string& label,
                sim::ExperimentConfig config, bench::Telemetry& telemetry) {
   telemetry.attach(config, label);
   sweep.add([&telemetry, label, config] {
-    auto result = bench::run_repeated(config);
+    auto result = bench::run_config(config);
     return [&telemetry, label, result] {
       if (!result.is_ok()) {
         std::printf("%-24s %s\n", label.c_str(),
@@ -73,7 +73,7 @@ int main(int argc, char** argv) {
     two_level.profile.max_connections_per_node = 64;
     two_level.duration = bench::bench_duration();
     sweep.add([two_level] {
-      auto result = bench::run_repeated(two_level);
+      auto result = bench::run_config(two_level);
       return [result] {
         std::printf("%-24s %s\n", "2-level A=64",
                     result.is_ok() ? "(unexpectedly fit)"

@@ -30,7 +30,7 @@ int main(int argc, char** argv) {
                                 (local ? " local" : " central");
       telemetry.attach(config, label);
       sweep.add([&, label, config] {
-        auto result = bench::run_repeated(config);
+        auto result = bench::run_config(config);
         return [&, label, result] {
           if (!result.is_ok()) {
             std::printf("error: %s\n", result.status().to_string().c_str());

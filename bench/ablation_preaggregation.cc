@@ -29,7 +29,7 @@ int main(int argc, char** argv) {
                                 (preagg ? " pre-agg" : " passthru");
       telemetry.attach(config, label);
       sweep.add([&, label, config] {
-        auto result = bench::run_repeated(config);
+        auto result = bench::run_config(config);
         return [&, label, result] {
           if (!result.is_ok()) {
             std::printf("error: %s\n", result.status().to_string().c_str());

@@ -32,7 +32,7 @@ int main(int argc, char** argv) {
     // controller itself viable; the cap is what stops flat at 2,500).
     // Lift the per-node cap and bound the horizon by cycle count — at
     // 100k stages a full 10-simulated-second horizon takes minutes per
-    // repetition.
+    // run.
     points.push_back({10'000, 0.0, true, 50});
     points.push_back({100'000, 0.0, true, 20});
   }
@@ -50,7 +50,7 @@ int main(int argc, char** argv) {
     }
     telemetry.attach(config, label);
     sweep.add([&, label, point, config] {
-      auto result = bench::run_repeated(config);
+      auto result = bench::run_config(config);
       return [&, label, point, result] {
         if (!result.is_ok()) {
           std::printf("N=%zu: %s\n", point.nodes,

@@ -33,7 +33,7 @@ int main(int argc, char** argv) {
     // with 2,000 stages per aggregator (the per-node connection cap
     // still holds at every level). Bounded by cycle count — a 1M-stage
     // cycle moves ~1M collect messages, so the full duration would take
-    // tens of minutes per repetition.
+    // tens of minutes per run.
     points.push_back({100'000, 50, 0.0, 20});
     points.push_back({1'000'000, 500, 0.0, 5});
   }
@@ -52,7 +52,7 @@ int main(int argc, char** argv) {
     if (point.max_cycles > 0) config.max_cycles = point.max_cycles;
     telemetry.attach(config, label);
     sweep.add([&, label, point, config] {
-      auto result = bench::run_repeated(config);
+      auto result = bench::run_config(config);
       return [&, label, point, result] {
         if (!result.is_ok()) {
           std::printf("A=%zu: %s\n", point.aggregators,

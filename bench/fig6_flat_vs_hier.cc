@@ -21,15 +21,15 @@ int main(int argc, char** argv) {
   bench::Sweep sweep(argc, argv);
 
   int rc = 0;
-  std::optional<bench::RepeatedResult> flat_result;
-  std::optional<bench::RepeatedResult> hier_result;
+  std::optional<bench::RunSummary> flat_result;
+  std::optional<bench::RunSummary> hier_result;
 
   sim::ExperimentConfig flat;
   flat.num_stages = 2500;
   flat.duration = bench::bench_duration();
   telemetry.attach(flat, "flat N=2500");
   sweep.add([&, flat] {
-    auto result = bench::run_repeated(flat);
+    auto result = bench::run_config(flat);
     return [&, result] {
       if (!result.is_ok()) {
         std::printf("flat: %s\n", result.status().to_string().c_str());
@@ -47,7 +47,7 @@ int main(int argc, char** argv) {
   hier.num_aggregators = 1;
   telemetry.attach(hier, "hier N=2500 A=1");
   sweep.add([&, hier] {
-    auto result = bench::run_repeated(hier);
+    auto result = bench::run_config(hier);
     return [&, result] {
       if (!result.is_ok()) {
         std::printf("hier: %s\n", result.status().to_string().c_str());
@@ -64,10 +64,9 @@ int main(int argc, char** argv) {
   sweep.finish();
   if (rc != 0 || !flat_result || !hier_result) return 1;
 
-  const double overhead =
-      hier_result->total_ms.mean() - flat_result->total_ms.mean();
+  const double overhead = hier_result->total_ms - flat_result->total_ms;
   std::printf("\nhierarchy overhead: %+.2f ms (paper: +12.3 ms)\n", overhead);
   std::printf("compute-phase change: %+.2f ms (paper: decreases, Obs. #7)\n",
-              hier_result->compute_ms.mean() - flat_result->compute_ms.mean());
+              hier_result->compute_ms - flat_result->compute_ms);
   return 0;
 }

@@ -94,7 +94,7 @@ int main(int argc, char** argv) {
       telemetry.attach(config, topo.label);
       const double row_x = x;
       sweep.add([&, config, topo, row_x] {
-        auto result = bench::run_repeated(config);
+        auto result = bench::run_config(config);
         return [&, result, topo, row_x] {
           if (!result.is_ok()) {
             std::printf("%-24s %s\n", topo.label.c_str(),

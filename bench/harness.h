@@ -1,8 +1,7 @@
-// Shared bench harness: runs a simulator configuration the way the paper
-// runs its experiments (>= 3 repetitions with distinct seeds), aggregates
-// cycle-latency and resource statistics across repetitions, and prints
-// rows in the same shape the paper reports (mean latency + phase
-// breakdown; CPU% / memory / tx / rx per controller).
+// Shared bench harness: runs a simulator configuration, summarizes its
+// cycle latency and controller resource usage, and prints rows in the
+// same shape the paper reports (mean latency + phase breakdown; CPU% /
+// memory / tx / rx per controller).
 #pragma once
 
 #include <cstdio>
@@ -13,7 +12,6 @@
 #include <string_view>
 #include <vector>
 
-#include "common/histogram.h"
 #include "sim/experiment.h"
 #include "telemetry/export.h"
 #include "telemetry/metrics.h"
@@ -22,71 +20,51 @@
 
 namespace sds::bench {
 
-struct RepeatedResult {
-  RunningStats total_ms;
-  RunningStats collect_ms;
-  RunningStats compute_ms;
-  RunningStats enforce_ms;
-  RunningStats cycles;
+/// What one bench row reports about a run.
+struct RunSummary {
+  double total_ms = 0;
+  double collect_ms = 0;
+  double compute_ms = 0;
+  double enforce_ms = 0;
+  double cycles = 0;
   sim::ControllerUsage global{};
   sim::ControllerUsage aggregator{};
   // -- Resilience accounting (all zero for fault-free runs) -------------
   /// Percentage of cycles closed on quorum/deadline instead of full
   /// replies.
-  RunningStats degraded_pct;
+  double degraded_pct = 0;
   /// Stage-cycles decided on stale state, per executed cycle.
-  RunningStats stale_per_cycle;
+  double stale_per_cycle = 0;
   /// Mean restart-to-first-fresh-collect gap (ms).
-  RunningStats recovery_ms;
-  /// Faults the plan injected per repetition.
-  RunningStats faults;
-  /// Coefficient of variation of the per-repetition mean total latency
-  /// (the paper reports stdev below 6%).
-  [[nodiscard]] double cv() const { return total_ms.cv(); }
+  double recovery_ms = 0;
+  /// Faults the plan injected.
+  double faults = 0;
 };
 
-/// Run `reps` repetitions of `config` with seeds seed, seed+1, ...
-/// (paper §III-D: "Each test was repeated at least 3 times").
-inline Result<RepeatedResult> run_repeated(sim::ExperimentConfig config,
-                                           int reps = 3) {
-  RepeatedResult out;
-  sim::ControllerUsage global_sum{};
-  sim::ControllerUsage agg_sum{};
-  for (int r = 0; r < reps; ++r) {
-    config.seed = 42 + static_cast<std::uint64_t>(r);
-    // Spans are virtual-time stamped, so repetitions would overlap on the
-    // same track; only the first repetition records into the tracer.
-    if (r > 0) config.tracer = nullptr;
-    auto result = sim::run_experiment(config);
-    if (!result.is_ok()) return result.status();
-    out.total_ms.add(result->stats.mean_total_ms());
-    out.collect_ms.add(result->stats.mean_collect_ms());
-    out.compute_ms.add(result->stats.mean_compute_ms());
-    out.enforce_ms.add(result->stats.mean_enforce_ms());
-    out.cycles.add(static_cast<double>(result->cycles));
-    const auto cycles = static_cast<double>(result->cycles);
-    out.degraded_pct.add(
-        cycles > 0 ? 100.0 * static_cast<double>(result->degraded_cycles) / cycles
-                   : 0.0);
-    out.stale_per_cycle.add(
-        cycles > 0 ? static_cast<double>(result->stale_stage_reports) / cycles
-                   : 0.0);
-    out.recovery_ms.add(result->mean_recovery_ms);
-    out.faults.add(static_cast<double>(result->faults_injected));
-    global_sum.cpu_percent += result->global.cpu_percent;
-    global_sum.memory_gb += result->global.memory_gb;
-    global_sum.transmitted_mbps += result->global.transmitted_mbps;
-    global_sum.received_mbps += result->global.received_mbps;
-    agg_sum.cpu_percent += result->aggregator.cpu_percent;
-    agg_sum.memory_gb += result->aggregator.memory_gb;
-    agg_sum.transmitted_mbps += result->aggregator.transmitted_mbps;
-    agg_sum.received_mbps += result->aggregator.received_mbps;
+/// Run `config` once. The paper repeats each test at least 3 times
+/// (§III-D) to average out noise; the simulator has none, and every field
+/// printed here is the same for any seed
+/// (tests/sim/seed_invariance_test.cc), so one run is the measurement.
+inline Result<RunSummary> run_config(const sim::ExperimentConfig& config) {
+  auto result = sim::run_experiment(config);
+  if (!result.is_ok()) return result.status();
+  const auto cycles = static_cast<double>(result->cycles);
+  RunSummary out;
+  out.total_ms = result->stats.mean_total_ms();
+  out.collect_ms = result->stats.mean_collect_ms();
+  out.compute_ms = result->stats.mean_compute_ms();
+  out.enforce_ms = result->stats.mean_enforce_ms();
+  out.cycles = cycles;
+  out.global = result->global;
+  out.aggregator = result->aggregator;
+  if (cycles > 0) {
+    out.degraded_pct =
+        100.0 * static_cast<double>(result->degraded_cycles) / cycles;
+    out.stale_per_cycle =
+        static_cast<double>(result->stale_stage_reports) / cycles;
   }
-  const double n = reps;
-  out.global = {global_sum.cpu_percent / n, global_sum.memory_gb / n,
-                global_sum.transmitted_mbps / n, global_sum.received_mbps / n};
-  out.aggregator = {agg_sum.cpu_percent / n, agg_sum.memory_gb / n,
-                    agg_sum.transmitted_mbps / n, agg_sum.received_mbps / n};
+  out.recovery_ms = result->mean_recovery_ms;
+  out.faults = static_cast<double>(result->faults_injected);
   return out;
 }
 
@@ -96,18 +74,16 @@ inline void print_title(const std::string& title) {
 }
 
 inline void print_latency_header() {
-  std::printf("%-24s %10s %10s %10s %10s %10s %8s %8s\n", "configuration",
+  std::printf("%-24s %10s %10s %10s %10s %10s %8s\n", "configuration",
               "total(ms)", "paper(ms)", "collect", "compute", "enforce",
-              "cycles", "cv%");
+              "cycles");
 }
 
 inline void print_latency_row(const std::string& label,
-                              const RepeatedResult& result, double paper_ms) {
-  std::printf("%-24s %10.2f %10.1f %10.2f %10.2f %10.2f %8.0f %8.2f\n",
-              label.c_str(), result.total_ms.mean(), paper_ms,
-              result.collect_ms.mean(), result.compute_ms.mean(),
-              result.enforce_ms.mean(), result.cycles.mean(),
-              result.cv() * 100.0);
+                              const RunSummary& result, double paper_ms) {
+  std::printf("%-24s %10.2f %10.1f %10.2f %10.2f %10.2f %8.0f\n",
+              label.c_str(), result.total_ms, paper_ms, result.collect_ms,
+              result.compute_ms, result.enforce_ms, result.cycles);
 }
 
 inline void print_resource_header() {
@@ -132,12 +108,11 @@ inline void print_resilience_header() {
 }
 
 inline void print_resilience_row(const std::string& label,
-                                 const RepeatedResult& result) {
+                                 const RunSummary& result) {
   std::printf("%-24s %10.2f %10.2f %9.1f%% %10.2f %12.2f %8.0f %8.0f\n",
-              label.c_str(), result.total_ms.mean(), result.collect_ms.mean(),
-              result.degraded_pct.mean(), result.stale_per_cycle.mean(),
-              result.recovery_ms.mean(), result.faults.mean(),
-              result.cycles.mean());
+              label.c_str(), result.total_ms, result.collect_ms,
+              result.degraded_pct, result.stale_per_cycle,
+              result.recovery_ms, result.faults, result.cycles);
 }
 
 /// Resolve the benches' `--fault-plan=FILE` flag: parse FILE (see
@@ -183,9 +158,8 @@ inline bool extended_flag(int argc, char** argv) {
 }
 
 /// Default simulated stress duration for bench runs. The paper runs >= 5
-/// simulated minutes; the deterministic simulator converges to the same
-/// means within seconds (cv < 1%), so benches default to 10 s. Override
-/// with SDSCALE_BENCH_SECONDS.
+/// minutes; the deterministic simulator's means settle within seconds,
+/// so benches default to 10 s. Override with SDSCALE_BENCH_SECONDS.
 inline Nanos bench_duration() {
   if (const char* env = std::getenv("SDSCALE_BENCH_SECONDS")) {
     const long secs = std::strtol(env, nullptr, 10);
@@ -245,36 +219,29 @@ class Telemetry {
 
   /// Record the exact values of one printed table row as gauges, so the
   /// JSONL snapshot reproduces the table verbatim.
-  void observe(const std::string& label, const RepeatedResult& result,
+  void observe(const std::string& label, const RunSummary& result,
                double paper_ms) {
     if (!enabled()) return;
     const telemetry::Labels labels{{"configuration", label}};
-    registry_.gauge("bench_total_ms_mean", labels)->set(result.total_ms.mean());
-    registry_.gauge("bench_collect_ms_mean", labels)
-        ->set(result.collect_ms.mean());
-    registry_.gauge("bench_compute_ms_mean", labels)
-        ->set(result.compute_ms.mean());
-    registry_.gauge("bench_enforce_ms_mean", labels)
-        ->set(result.enforce_ms.mean());
+    registry_.gauge("bench_total_ms_mean", labels)->set(result.total_ms);
+    registry_.gauge("bench_collect_ms_mean", labels)->set(result.collect_ms);
+    registry_.gauge("bench_compute_ms_mean", labels)->set(result.compute_ms);
+    registry_.gauge("bench_enforce_ms_mean", labels)->set(result.enforce_ms);
     registry_.gauge("bench_paper_ms", labels)->set(paper_ms);
-    registry_.gauge("bench_cycles_mean", labels)->set(result.cycles.mean());
-    registry_.gauge("bench_cv_percent", labels)->set(result.cv() * 100.0);
+    registry_.gauge("bench_cycles_mean", labels)->set(result.cycles);
   }
 
   /// Record one printed resilience row (degraded-cycle rate, decision
   /// staleness, recovery time, injected faults) as gauges.
   void observe_resilience(const std::string& label,
-                          const RepeatedResult& result) {
+                          const RunSummary& result) {
     if (!enabled()) return;
     const telemetry::Labels labels{{"configuration", label}};
-    registry_.gauge("bench_degraded_percent", labels)
-        ->set(result.degraded_pct.mean());
+    registry_.gauge("bench_degraded_percent", labels)->set(result.degraded_pct);
     registry_.gauge("bench_stale_per_cycle", labels)
-        ->set(result.stale_per_cycle.mean());
-    registry_.gauge("bench_recovery_ms_mean", labels)
-        ->set(result.recovery_ms.mean());
-    registry_.gauge("bench_faults_injected_mean", labels)
-        ->set(result.faults.mean());
+        ->set(result.stale_per_cycle);
+    registry_.gauge("bench_recovery_ms_mean", labels)->set(result.recovery_ms);
+    registry_.gauge("bench_faults_injected_mean", labels)->set(result.faults);
   }
 
   /// Record one printed resource row (Tables II–IV shape) as gauges.
@@ -340,11 +307,11 @@ class DatWriter {
   DatWriter(const DatWriter&) = delete;
   DatWriter& operator=(const DatWriter&) = delete;
 
-  void row(double x, const RepeatedResult& result, double paper_ms) {
+  void row(double x, const RunSummary& result, double paper_ms) {
     if (file_ == nullptr) return;
-    std::fprintf(file_, "%g %.4f %.4f %.4f %.4f %.4f\n", x,
-                 result.total_ms.mean(), result.collect_ms.mean(),
-                 result.compute_ms.mean(), result.enforce_ms.mean(), paper_ms);
+    std::fprintf(file_, "%g %.4f %.4f %.4f %.4f %.4f\n", x, result.total_ms,
+                 result.collect_ms, result.compute_ms, result.enforce_ms,
+                 paper_ms);
   }
 
  private:
@@ -378,12 +345,11 @@ class ResilienceDatWriter {
   ResilienceDatWriter(const ResilienceDatWriter&) = delete;
   ResilienceDatWriter& operator=(const ResilienceDatWriter&) = delete;
 
-  void row(double x, const RepeatedResult& result) {
+  void row(double x, const RunSummary& result) {
     if (file_ == nullptr) return;
-    std::fprintf(file_, "%g %.4f %.4f %.4f %.4f %.1f\n", x,
-                 result.total_ms.mean(), result.degraded_pct.mean(),
-                 result.stale_per_cycle.mean(), result.recovery_ms.mean(),
-                 result.faults.mean());
+    std::fprintf(file_, "%g %.4f %.4f %.4f %.4f %.1f\n", x, result.total_ms,
+                 result.degraded_pct, result.stale_per_cycle,
+                 result.recovery_ms, result.faults);
   }
 
  private:

@@ -19,7 +19,7 @@ void sweep_row(bench::Sweep& sweep, const std::string& label,
   config.duration = seconds(5);
   telemetry.attach(config, label);
   sweep.add([&telemetry, label, config] {
-    auto result = bench::run_repeated(config, /*reps=*/1);
+    auto result = bench::run_config(config);
     return [&telemetry, label, result] {
       if (!result.is_ok()) {
         std::printf("%-28s %s\n", label.c_str(),
@@ -27,9 +27,8 @@ void sweep_row(bench::Sweep& sweep, const std::string& label,
         return;
       }
       std::printf("%-28s %10.2f %10.2f %10.2f %10.2f %8.0f\n", label.c_str(),
-                  result->total_ms.mean(), result->collect_ms.mean(),
-                  result->compute_ms.mean(), result->enforce_ms.mean(),
-                  result->cycles.mean());
+                  result->total_ms, result->collect_ms, result->compute_ms,
+                  result->enforce_ms, result->cycles);
       telemetry.observe(label, *result, 0.0);
     };
   });

@@ -33,7 +33,7 @@ int main(int argc, char** argv) {
     config.duration = bench::bench_duration();
     telemetry.attach(config, label);
     sweep.add([&, label, row, config] {
-      auto result = bench::run_repeated(config);
+      auto result = bench::run_config(config);
       return [&, label, row, result] {
         if (!result.is_ok()) {
           std::printf("N=%zu: %s\n", row.nodes,

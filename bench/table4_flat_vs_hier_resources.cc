@@ -23,7 +23,7 @@ int main(int argc, char** argv) {
   flat.duration = bench::bench_duration();
   telemetry.attach(flat, "flat");
   sweep.add([&, flat] {
-    auto result = bench::run_repeated(flat);
+    auto result = bench::run_config(flat);
     return [&, result] {
       if (!result.is_ok()) {
         rc = 1;
@@ -40,7 +40,7 @@ int main(int argc, char** argv) {
   hier.num_aggregators = 1;
   telemetry.attach(hier, "hierarchical");
   sweep.add([&, hier] {
-    auto result = bench::run_repeated(hier);
+    auto result = bench::run_config(hier);
     return [&, result] {
       if (!result.is_ok()) {
         rc = 1;

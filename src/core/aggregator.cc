@@ -112,7 +112,7 @@ const proto::AggregatedMetrics& AggregatorCore::aggregate_from_store(
   StoreState& st = store_state_;
   st.out.cycle_id = cycle_id;
 
-  // sdslint: hotpath — steady-state summary refresh; all buffers were
+  // sdscheck: hotpath — steady-state summary refresh; all buffers were
   // sized at rebuild, so nothing here allocates once warm.
   store_.drain_dirty(st.dirty_stages);
   if (!rebuilt) {
@@ -156,7 +156,7 @@ const proto::AggregatedMetrics& AggregatorCore::aggregate_from_store(
       }
     }
   }
-  // sdslint: end-hotpath
+  // sdscheck: end-hotpath
   return st.out;
 }
 

@@ -234,7 +234,7 @@ const ComputeResult& GlobalControllerCore::compute_from_store(
   const std::size_t num_jobs = st.data_demands.size();
   ++store_stats_.cycles;
 
-  // sdslint: hotpath — incremental compute; every container below was
+  // sdscheck: hotpath — incremental compute; every container below was
   // sized at rebuild, so steady-state cycles allocate nothing.
 
   // 1. Administrative input movement (budgets, QoS weights) forces the
@@ -348,7 +348,7 @@ const ComputeResult& GlobalControllerCore::compute_from_store(
     store_stats_.stages_resplit += members.size();
   }
 
-  // sdslint: end-hotpath
+  // sdscheck: end-hotpath
   return st.result;
 }
 

@@ -58,7 +58,7 @@ std::uint32_t MetricsStore::bind(StageId stage, JobId job) {
   return it->second;
 }
 
-// sdslint: hotpath — per-report store updates; no heap allocation once
+// sdscheck: hotpath — per-report store updates; no heap allocation once
 // the dirty list's capacity is warm (reserved at reset/bind).
 
 void MetricsStore::mark_dirty(std::uint32_t i) {
@@ -162,7 +162,7 @@ void MetricsStore::drain_dirty(std::vector<std::uint32_t>& out) {
   }
 }
 
-// sdslint: end-hotpath
+// sdscheck: end-hotpath
 
 void MetricsStore::clear_dirty() {
   for (const std::uint32_t i : dirty_list_) dirty_[i] = 0;

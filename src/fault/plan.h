@@ -12,7 +12,7 @@
 // (cycle c, stage i)?" — which makes fault injection independent of
 // event-execution interleavings.
 //
-// Determinism contract (enforced by tools/sdslint on this directory):
+// Determinism contract (enforced by the determinism pass of tools/sdscheck):
 // nothing in src/fault reads a wall clock or an unseeded random source.
 // All times are virtual Nanos from the run's epoch; all randomness
 // derives from FaultPlan::seed.

@@ -16,7 +16,7 @@ bool same_inputs(const std::vector<JobDemand>& cached,
 
 }  // namespace
 
-// sdslint: hotpath — per-cycle allocation decision; cache hits replay
+// sdscheck: hotpath — per-cycle allocation decision; cache hits replay
 // the stored vector and entry buffers are reused via assign, so nothing
 // allocates once the cache slots are warm.
 void IncrementalPsfa::compute(std::span<const JobDemand> demands,
@@ -39,6 +39,6 @@ void IncrementalPsfa::compute(std::span<const JobDemand> demands,
   slot.allocations.assign(out.begin(), out.end());
   slot.valid = true;
 }
-// sdslint: end-hotpath
+// sdscheck: end-hotpath
 
 }  // namespace sds::policy

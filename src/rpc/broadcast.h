@@ -21,23 +21,16 @@
 
 namespace sds::rpc {
 
-/// Send `frame` to every connection in `conns`, in order. Returns the
-/// number of connections the frame was queued on; closed connections are
-/// skipped.
-inline std::size_t broadcast_shared(transport::Endpoint& endpoint,
-                                    std::span<const ConnId> conns,
-                                    const wire::SharedFrame& frame) {
-  return endpoint.send_shared_all(conns, frame);
-}
-
-/// Encode `msg` exactly once and send it to every connection in `conns`.
-/// An optional trace context is encoded once into the shared image's
-/// trailer so every hop of the wave stitches into the same trace.
+/// Encode `msg` exactly once and send it to every connection in `conns`,
+/// in order. Returns the number of connections the frame was queued on;
+/// closed connections are skipped. An optional trace context is encoded
+/// once into the shared image's trailer so every hop of the wave stitches
+/// into the same trace.
 template <typename M>
 std::size_t broadcast(transport::Endpoint& endpoint,
                       std::span<const ConnId> conns, const M& msg,
                       std::optional<wire::TraceContext> trace = std::nullopt) {
-  return broadcast_shared(endpoint, conns, proto::to_shared_frame(msg, trace));
+  return endpoint.send_shared_all(conns, proto::to_shared_frame(msg, trace));
 }
 
 }  // namespace sds::rpc

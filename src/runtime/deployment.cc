@@ -18,8 +18,6 @@ Result<std::unique_ptr<Deployment>> Deployment::create(
   global_options.phase_timeout = options.phase_timeout;
   global_options.collect_quorum = options.collect_quorum;
   global_options.local_decisions = options.local_decisions;
-  global_options.use_metrics_store = options.use_metrics_store;
-  global_options.psfa_full_recompute = options.psfa_full_recompute;
   if (options.local_decisions && options.num_aggregators == 0) {
     return Status::invalid_argument(
         "local_decisions requires a hierarchical topology");

@@ -37,12 +37,6 @@ struct DeploymentOptions {
   /// not reassemble deltas, so create() rejects this with aggregators.
   bool delta_metrics = false;
   std::size_t delta_refresh = 64;
-  /// Disable the global controller's columnar store compute path
-  /// (GlobalServerOptions::use_metrics_store; batch-pipeline ablation).
-  bool use_metrics_store = true;
-  /// Force a full rebuild of the store compute each cycle
-  /// (GlobalServerOptions::psfa_full_recompute ablation).
-  bool psfa_full_recompute = false;
   /// Demand for every stage when no factory is given.
   double data_demand = 1000;
   double meta_demand = 100;

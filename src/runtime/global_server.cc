@@ -18,8 +18,7 @@ GlobalControllerServer::GlobalControllerServer(
       address_(std::move(address)),
       options_(options),
       clock_(&clock),
-      core_(options.core, std::move(algorithm)),
-      store_(core::MetricsStoreOptions{options.activity_threshold}) {}
+      core_(options.core, std::move(algorithm)) {}
 
 GlobalControllerServer::~GlobalControllerServer() { shutdown(); }
 
@@ -214,19 +213,20 @@ Result<core::PhaseBreakdown> GlobalControllerServer::run_cycle() {
   const std::uint32_t track = telemetry_.track();
 
   // Store-backed compute applies on purely flat cycles: every reply is a
-  // per-stage frame folded straight into the columnar store, and the
-  // incremental PSFA runs over it. Hierarchical/mixed cycles keep the
-  // batch pipeline (aggregated summaries never flow through the store).
-  const bool store_cycle = options_.use_metrics_store &&
-                           targets.aggregators.empty() &&
-                           !options_.local_decisions;
+  // per-stage frame (full or delta) folded straight into the columnar
+  // store, and the incremental PSFA runs over it. Decisions are
+  // bit-identical to the batch pipeline; a roster change (registration,
+  // eviction) rebuilds the store bindings before the next compute.
+  // Hierarchical/mixed cycles keep the batch pipeline (aggregated
+  // summaries never flow through the store).
+  const bool store_cycle =
+      targets.aggregators.empty() && !options_.local_decisions;
 
   // ---- Collect -------------------------------------------------------
   auto stage_gather = dispatcher_.start_gather(
       proto::MessageType::kStageMetrics, cycle, targets.stage_conns,
-      store_cycle && options_.accept_deltas
-          ? std::optional(proto::MessageType::kStageMetricsDelta)
-          : std::nullopt);
+      store_cycle ? std::optional(proto::MessageType::kStageMetricsDelta)
+                  : std::nullopt);
   std::vector<ConnId> agg_conns;
   agg_conns.reserve(targets.aggregators.size());
   for (const auto& [conn, _] : targets.aggregators) agg_conns.push_back(conn);
@@ -239,8 +239,8 @@ Result<core::PhaseBreakdown> GlobalControllerServer::run_cycle() {
       request, wire::TraceContext{
                    trace_id, telemetry::derive_span_id(trace_id, track,
                                                        "collect")});
-  rpc::broadcast_shared(*endpoint_, targets.stage_conns, collect_frame);
-  rpc::broadcast_shared(*endpoint_, agg_conns, collect_frame);
+  endpoint_->send_shared_all(targets.stage_conns, collect_frame);
+  endpoint_->send_shared_all(agg_conns, collect_frame);
   const Status stage_wait = stage_gather->wait_for(
       options_.phase_timeout,
       fault::quorum_count(options_.collect_quorum, targets.stage_conns.size()));
@@ -354,7 +354,7 @@ Result<core::PhaseBreakdown> GlobalControllerServer::run_cycle() {
           if (metrics.is_ok()) (void)store_.update(*metrics);
         }
       }
-      result = core_.compute_from_store(store_, options_.psfa_full_recompute);
+      result = core_.compute_from_store(store_);
     } else if (aggregated.empty()) {
       result = core_.compute(std::span<const proto::StageMetrics>(
           stage_metrics.data(), stage_metrics.size()));

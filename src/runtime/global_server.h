@@ -53,27 +53,6 @@ struct GlobalServerOptions {
   bool local_decisions = false;
   /// How long each granted lease stays valid.
   Nanos lease_validity = seconds(10);
-  /// Columnar compute path: fold collect replies into a core::MetricsStore
-  /// and run GlobalControllerCore::compute_from_store (incremental PSFA)
-  /// instead of the batch compute. Takes effect on cycles with no
-  /// registered aggregators — the hierarchical path keeps the batch
-  /// pipeline. Decisions are bit-identical to the batch path; a roster
-  /// change (registration, eviction) rebuilds the store bindings before
-  /// the next compute.
-  bool use_metrics_store = true;
-  /// Accept StageMetricsDelta collect replies and fold them through the
-  /// store (requires use_metrics_store; only sensible when the stage
-  /// hosts enable delta_metrics). A delta that fails validation —
-  /// unknown slot, duplicate/out-of-order cycle, broken base chain
-  /// (e.g. after a lost reply or a store rebuild) — is dropped and its
-  /// stage counted stale for the cycle; the sender's periodic full
-  /// refresh re-anchors the chain.
-  bool accept_deltas = true;
-  /// MetricsStore compute-view threshold (ops/s); see
-  /// MetricsStoreOptions::activity_threshold.
-  double activity_threshold = 0.0;
-  /// Ablation: force the store path to rebuild every job each cycle.
-  bool psfa_full_recompute = false;
 };
 
 class GlobalControllerServer {

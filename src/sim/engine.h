@@ -102,8 +102,8 @@ class Engine {
   [[nodiscard]] std::uint64_t executed() const { return executed_; }
 
   // The step/insert/alloc_slot core is allocation-lean by construction
-  // (slab reuse, POD key shuffling); sdslint keeps it that way.
-  // sdslint: hotpath
+  // (slab reuse, POD key shuffling); tools/sdscheck keeps it that way.
+  // sdscheck: hotpath
 
   /// Execute the next event; returns false when the queue is empty.
   bool step() {
@@ -222,7 +222,7 @@ class Engine {
     bitmap_[slot >> 6] |= std::uint64_t{1} << (slot & 63);
     ++wheel_count_;
   }
-  // sdslint: end-hotpath
+  // sdscheck: end-hotpath
 
   /// The next key in execution order. Precondition: prepare_next() true.
   [[nodiscard]] const Key& next_key() const {

@@ -91,7 +91,7 @@ std::string run_sweep(std::size_t jobs) {
     config.num_aggregators = point.aggregators;
     config.duration = seconds(1);
     sweep.add([&out, point, config] {
-      auto result = run_repeated(config);
+      auto result = run_config(config);
       return [&out, point, result] {
         if (!result.is_ok()) {
           out += "error: " + result.status().to_string() + "\n";
@@ -102,9 +102,8 @@ std::string run_sweep(std::size_t jobs) {
                       "N=%zu A=%zu total=%.6f collect=%.6f compute=%.6f "
                       "enforce=%.6f cycles=%.1f\n",
                       point.stages, point.aggregators,
-                      result->total_ms.mean(), result->collect_ms.mean(),
-                      result->compute_ms.mean(), result->enforce_ms.mean(),
-                      result->cycles.mean());
+                      result->total_ms, result->collect_ms,
+                      result->compute_ms, result->enforce_ms, result->cycles);
         out += row;
       };
     });

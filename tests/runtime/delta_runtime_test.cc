@@ -105,49 +105,6 @@ TEST(DeltaRuntimeTest, DeltaCollectsShrinkInboundWireBytes) {
       << "full=" << full_bytes << " delta=" << delta_bytes;
 }
 
-TEST(DeltaRuntimeTest, BatchPipelineAblationMatchesStorePath) {
-  // With every stage reporting every cycle, the store compute path and
-  // the legacy batch pipeline make bit-identical decisions.
-  transport::InProcNetwork net_store;
-  auto store = Deployment::create(net_store, contended_options()).value();
-
-  transport::InProcNetwork net_batch;
-  auto options = contended_options();
-  options.use_metrics_store = false;
-  auto batch = Deployment::create(net_batch, options).value();
-
-  ASSERT_TRUE(store->global().run_cycles(8).is_ok());
-  ASSERT_TRUE(batch->global().run_cycles(8).is_ok());
-
-  const auto limits_store = collect_limits(*store, 16);
-  const auto limits_batch = collect_limits(*batch, 16);
-  for (std::size_t i = 0; i < limits_store.size(); ++i) {
-    EXPECT_EQ(limits_store[i], limits_batch[i]) << "limit " << i;
-  }
-}
-
-TEST(DeltaRuntimeTest, FullRecomputeAblationMatchesIncremental) {
-  transport::InProcNetwork net_inc;
-  auto inc_options = contended_options();
-  inc_options.delta_metrics = true;
-  auto incremental = Deployment::create(net_inc, inc_options).value();
-
-  transport::InProcNetwork net_ful;
-  auto ful_options = contended_options();
-  ful_options.delta_metrics = true;
-  ful_options.psfa_full_recompute = true;
-  auto recompute = Deployment::create(net_ful, ful_options).value();
-
-  ASSERT_TRUE(incremental->global().run_cycles(10).is_ok());
-  ASSERT_TRUE(recompute->global().run_cycles(10).is_ok());
-
-  const auto limits_inc = collect_limits(*incremental, 16);
-  const auto limits_ful = collect_limits(*recompute, 16);
-  for (std::size_t i = 0; i < limits_inc.size(); ++i) {
-    EXPECT_EQ(limits_inc[i], limits_ful[i]) << "limit " << i;
-  }
-}
-
 TEST(DeltaRuntimeTest, DeltaChainSurvivesStageHostRestart) {
   transport::InProcNetwork net;
   auto options = contended_options();

@@ -99,7 +99,7 @@ TEST(BroadcastTest, SharedImageRefcountDropsAfterDelivery) {
   const wire::SharedFrame shared =
       proto::to_shared_frame(make_request(7));
   EXPECT_EQ(shared.use_count(), 1);
-  rpc::broadcast_shared(*sender, conns, shared);
+  sender->send_shared_all(conns, shared);
   ASSERT_TRUE(eventually([&] { return delivered.load() == kReceivers; }));
   // Each delivery queue entry held one reference; after all deliveries
   // materialize their copy, only the test's handle remains.

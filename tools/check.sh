@@ -12,11 +12,10 @@
 #   million   `ctest -L million` on the default tree: perf_million
 #             --quick with its regression gates live (incremental-PSFA
 #             speedup, delta-frame compression, ablation bit-identity)
-#   lint      sdslint over the tree + the `lint` ctest label
-#   conformance  sdscheck's four passes (layering, lockgraph,
-#             annotations, protocoverage) against fixtures and the real
-#             tree, plus the runtime lock-order validator tests, in a
-#             -DSDS_LOCK_ORDER=ON tree (`ctest -L conformance`)
+#   conformance  sdscheck's five passes (layering, lockgraph,
+#             annotations, protocoverage, determinism) against fixtures
+#             and the real tree, plus the runtime lock-order validator
+#             tests, in a -DSDS_LOCK_ORDER=ON tree (`ctest -L conformance`)
 #   tidy      clang-tidy with the checked-in .clang-tidy (skipped when
 #             clang-tidy is not installed)
 #   tsa       Clang -Wthread-safety build (skipped when clang++ is not
@@ -25,10 +24,10 @@
 #             `format`; skipped when clang-format is not installed)
 #
 # Usage:
-#   tools/check.sh                # default asan ubsan tsan lint tidy tsa
-#   tools/check.sh asan lint      # just those stages
+#   tools/check.sh                # every stage but format
+#   tools/check.sh asan tsan      # just those stages
 #   tools/check.sh --format       # everything plus format verification
-#   tools/check.sh --quick        # default + lint + conformance only
+#   tools/check.sh --quick        # default + conformance only
 #
 # Build trees live under build-check/<stage> so repeat runs are
 # incremental. Any stage failing fails the script; stages whose
@@ -45,13 +44,13 @@ WITH_FORMAT=0
 for arg in "$@"; do
   case "$arg" in
     --format) WITH_FORMAT=1 ;;
-    --quick) STAGES+=(default lint conformance) ;;
+    --quick) STAGES+=(default conformance) ;;
     --help|-h)
-      sed -n '2,35p' "$0" | sed 's/^# \{0,1\}//'
+      sed -n '2,34p' "$0" | sed 's/^# \{0,1\}//'
       exit 0
       ;;
     format) WITH_FORMAT=1 ;;
-    default|asan|ubsan|tsan|tracing|million|lint|conformance|tidy|tsa)
+    default|asan|ubsan|tsan|tracing|million|conformance|tidy|tsa)
       STAGES+=("$arg") ;;
     *)
       echo "check.sh: unknown stage '$arg' (see --help)" >&2
@@ -60,7 +59,7 @@ for arg in "$@"; do
   esac
 done
 if [ "${#STAGES[@]}" -eq 0 ]; then
-  STAGES=(default asan ubsan tsan tracing million lint conformance tidy tsa)
+  STAGES=(default asan ubsan tsan tracing million conformance tidy tsa)
 fi
 if [ "$WITH_FORMAT" -eq 1 ]; then
   STAGES+=(format)
@@ -128,14 +127,8 @@ run_stage() {
       ctest --test-dir build-check/default -L million -j "$JOBS" \
         --output-on-failure || return 1
       ;;
-    lint)
-      note "sdslint + ctest -L lint"
-      configure_and_build build-check/default || return 1
-      ctest --test-dir build-check/default -L lint -j "$JOBS" \
-        --output-on-failure || return 1
-      ;;
     conformance)
-      note "sdscheck + lock-order validator: ctest -L conformance"
+      note "sdscheck's five passes + lock-order validator: ctest -L conformance"
       # Its own tree so the runtime validator is compiled in; the
       # sdscheck static passes themselves are build-type-agnostic.
       configure_and_build build-check/conformance -DSDS_LOCK_ORDER=ON \
