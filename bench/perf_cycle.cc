@@ -32,6 +32,7 @@
 #include <thread>
 #include <vector>
 
+#include "bench/gate.h"
 #include "proto/messages.h"
 #include "sim/engine.h"
 #include "sim/experiment.h"
@@ -43,6 +44,8 @@
 namespace {
 
 using sds::Nanos;
+using sds::bench::format;
+using sds::bench::Gate;
 
 // The seed's engine, verbatim (minus the UB-adjacent const_cast fixed in
 // the rewrite): one global priority_queue of type-erased std::functions.
@@ -360,43 +363,6 @@ double median(std::vector<double> v) {
   std::sort(v.begin(), v.end());
   const std::size_t n = v.size();
   return n % 2 == 1 ? v[n / 2] : (v[n / 2 - 1] + v[n / 2]) / 2;
-}
-
-// One regression gate: it either ran (and passed or failed) or was
-// skipped for a stated reason; never silently.
-struct Gate {
-  explicit Gate(const char* gate_name) : name(gate_name) {}
-
-  const char* name;
-  bool ran = false;
-  bool pass = true;
-  std::string detail;  // "<value> vs <bar>" when ran, the reason if not
-
-  void report() const {
-    if (ran) {
-      std::printf("gate %s: ran (%s)\n", name, detail.c_str());
-      if (!pass) std::printf("FAIL: gate %s\n", name);
-    } else {
-      std::printf("gate %s: skipped(%s)\n", name, detail.c_str());
-    }
-  }
-
-  [[nodiscard]] std::string json() const {
-    std::string out = "{\"status\": \"";
-    out += ran ? "ran" : "skipped";
-    out += "\", ";
-    out += ran ? "\"measured\": \"" : "\"reason\": \"";
-    out += detail;
-    out += "\"";
-    if (ran) out += pass ? ", \"pass\": true" : ", \"pass\": false";
-    return out + "}";
-  }
-};
-
-std::string format(const char* fmt, double a, double b) {
-  char buf[96];
-  std::snprintf(buf, sizeof buf, fmt, a, b);
-  return buf;
 }
 
 // One admission check per simulated 100 ns against a bucket whose rate

@@ -236,4 +236,101 @@ std::vector<proto::Rule> AggregatorCore::local_compute(
   return rules;
 }
 
+std::vector<proto::Rule> AggregatorCore::compute_own_rules(
+    std::uint64_t cycle_id,
+    std::span<const proto::AggregatedMetrics> all_summaries,
+    std::span<const proto::StageMetrics> local_metrics) const {
+  // Determinism: merge in ascending peer-id order so every peer sees the
+  // same job ordering and therefore computes identical allocations.
+  std::vector<const proto::AggregatedMetrics*> ordered;
+  ordered.reserve(all_summaries.size());
+  for (const auto& s : all_summaries) ordered.push_back(&s);
+  std::sort(ordered.begin(), ordered.end(),
+            [](const auto* a, const auto* b) { return a->from < b->from; });
+
+  std::unordered_map<JobId, std::size_t> index;
+  std::vector<policy::JobDemand> data_demands;
+  std::vector<policy::JobDemand> meta_demands;
+  std::unordered_map<JobId, std::uint32_t> global_stage_counts;
+  for (const auto* summary : ordered) {
+    for (const auto& job : summary->jobs) {
+      const auto [it, inserted] = index.try_emplace(job.job_id, data_demands.size());
+      if (inserted) {
+        data_demands.push_back({job.job_id, 0.0, policies_.weight(job.job_id)});
+        meta_demands.push_back({job.job_id, 0.0, policies_.weight(job.job_id)});
+      }
+      data_demands[it->second].demand += job.data_iops;
+      meta_demands[it->second].demand += job.meta_iops;
+      global_stage_counts[job.job_id] += job.stage_count;
+    }
+  }
+
+  std::vector<policy::JobAllocation> data_alloc;
+  std::vector<policy::JobAllocation> meta_alloc;
+  algorithm_->compute(data_demands, policies_.budgets().data_iops, data_alloc);
+  algorithm_->compute(meta_demands, policies_.budgets().meta_iops, meta_alloc);
+
+  // Scale the global per-job allocation down to this peer's share: the
+  // fraction of the job's global demand observed locally (uniform by
+  // stage count when the job is idle).
+  std::unordered_map<JobId, std::pair<double, double>> local_share;
+  {
+    std::unordered_map<JobId, std::pair<double, double>> local_demand;
+    std::unordered_map<JobId, std::uint32_t> local_stages;
+    for (const auto& m : local_metrics) {
+      auto& d = local_demand[m.job_id];
+      d.first += std::max(m.data_iops, 0.0);
+      d.second += std::max(m.meta_iops, 0.0);
+      ++local_stages[m.job_id];
+    }
+    for (std::size_t i = 0; i < data_alloc.size(); ++i) {
+      const JobId job = data_alloc[i].job_id;
+      const auto ld = local_demand.find(job);
+      if (ld == local_demand.end()) continue;  // job not present locally
+      const double global_data = data_demands[i].demand;
+      const double global_meta = meta_demands[i].demand;
+      const auto total_stages = global_stage_counts[job];
+      const double stage_frac =
+          total_stages ? static_cast<double>(local_stages[job]) / total_stages : 0.0;
+      const double data_frac =
+          global_data > 0 ? ld->second.first / global_data : stage_frac;
+      const double meta_frac =
+          global_meta > 0 ? ld->second.second / global_meta : stage_frac;
+      local_share[job] = {data_alloc[i].allocation * data_frac,
+                          meta_alloc[i].allocation * meta_frac};
+    }
+  }
+
+  // Split this peer's job shares across its own stages by demand.
+  std::vector<policy::JobAllocation> local_data_alloc;
+  std::vector<policy::JobAllocation> local_meta_alloc;
+  for (const auto& [job, share] : local_share) {
+    local_data_alloc.push_back({job, share.first});
+    local_meta_alloc.push_back({job, share.second});
+  }
+  std::vector<policy::StageDemand> data_stage;
+  std::vector<policy::StageDemand> meta_stage;
+  for (const auto& m : local_metrics) {
+    data_stage.push_back({m.stage_id, m.job_id, m.data_iops});
+    meta_stage.push_back({m.stage_id, m.job_id, m.meta_iops});
+  }
+  std::vector<policy::StageLimit> data_limits;
+  std::vector<policy::StageLimit> meta_limits;
+  splitter_.split(local_data_alloc, data_stage, data_limits);
+  splitter_.split(local_meta_alloc, meta_stage, meta_limits);
+
+  std::vector<proto::Rule> rules;
+  rules.reserve(local_metrics.size());
+  for (std::size_t i = 0; i < local_metrics.size(); ++i) {
+    proto::Rule rule;
+    rule.stage_id = local_metrics[i].stage_id;
+    rule.job_id = local_metrics[i].job_id;
+    rule.data_iops_limit = data_limits[i].limit;
+    rule.meta_iops_limit = meta_limits[i].limit;
+    rule.epoch = cycle_id;
+    rules.push_back(rule);
+  }
+  return rules;
+}
+
 }  // namespace sds::core

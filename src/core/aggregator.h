@@ -4,11 +4,13 @@
 // per-job summaries upward (Cheferd-style pre-aggregation), routes
 // enforcement rules to its stages, and merges their acks.
 //
-// Two extensions beyond the paper's prototype, both from its future-work
+// Three extensions beyond the paper's prototype, all from its future-work
 // section: pass-through mode (no pre-aggregation; the ablation for
-// Observation #7) and local-decision mode, where the aggregator runs the
+// Observation #7), local-decision mode, where the aggregator runs the
 // control algorithm itself inside a budget lease granted by the global
-// controller.
+// controller, and coordinated-peer mode, where K peers with no global
+// controller each compute the global allocation from every peer's
+// summary and enforce their own share.
 #pragma once
 
 #include <memory>
@@ -99,6 +101,23 @@ class AggregatorCore {
   [[nodiscard]] std::vector<proto::Rule> local_compute(
       std::uint64_t cycle_id, std::span<const proto::StageMetrics> metrics,
       std::uint64_t now_ns) const;
+
+  // -- Coordinated-peer mode (paper §VI) -----------------------------
+  //
+  // Each cycle every peer summarizes its own stages (aggregate() without
+  // digests) and sends the summary to all peers. Every peer then merges
+  // all K summaries in ascending peer-id order and runs the same
+  // deterministic algorithm on them, so all peers reach the same global
+  // allocation with no further coordination.
+
+  /// Merge every peer's summary (this peer's included) into the global
+  /// demand, allocate the policy table's budgets over it, and return
+  /// rules for this peer's own stages only: each job's allocation scaled
+  /// to the share of its demand seen locally, split over `local_metrics`.
+  [[nodiscard]] std::vector<proto::Rule> compute_own_rules(
+      std::uint64_t cycle_id,
+      std::span<const proto::AggregatedMetrics> all_summaries,
+      std::span<const proto::StageMetrics> local_metrics) const;
 
  private:
   /// Derived per-slot state for aggregate_from_store, rebuilt when the

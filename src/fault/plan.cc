@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <fstream>
+#include <optional>
 #include <sstream>
 
 #include "common/rng.h"
@@ -24,8 +25,21 @@ double hash01(std::uint64_t seed, std::uint64_t kind, std::uint64_t cycle,
   return static_cast<double>(sm.next() >> 11) * 0x1.0p-53;
 }
 
-Nanos seconds_to_nanos(double s) {
-  return Nanos{static_cast<std::int64_t>(s * 1e9)};
+/// `value * scale` nanoseconds, or nullopt when that is not a number
+/// Nanos can hold (casting such a double to an integer is undefined).
+std::optional<Nanos> to_nanos(double value, double scale) {
+  const double ns = value * scale;
+  // -2^63 converts exactly; 2^63 is the first double that does not fit.
+  if (!(ns >= -0x1p63 && ns < 0x1p63)) return std::nullopt;
+  return Nanos{static_cast<std::int64_t>(ns)};
+}
+
+/// The end of an outage starting at `at` and lasting `length` (>= 0), or
+/// kNever when that instant does not fit in Nanos.
+Nanos outage_end(Nanos at, Nanos length) {
+  return length < CompiledPlan::kNever - std::max(at, Nanos{0})
+             ? at + length
+             : CompiledPlan::kNever;
 }
 
 /// Merge scripted crashes + churn arrivals into a sorted, non-overlapping
@@ -52,15 +66,21 @@ std::vector<DownInterval> normalize(std::vector<DownInterval> intervals) {
 void expand_churn(Rng& rng, double mtbf_s, double downtime_s, Nanos horizon,
                   std::vector<DownInterval>& out) {
   if (mtbf_s <= 0) return;
+  // The horizon test runs on doubles, so an arrival too far out for Nanos
+  // still ends the loop; below the horizon the conversion always fits.
+  const auto horizon_ns = static_cast<double>(horizon.count());
   double t_s = rng.exponential(1.0 / mtbf_s);
-  while (seconds_to_nanos(t_s) < horizon) {
-    const Nanos at = seconds_to_nanos(t_s);
+  while (t_s * 1e9 < horizon_ns) {
+    const Nanos at = *to_nanos(t_s, 1e9);
     if (downtime_s <= 0) {
       out.push_back({at, CompiledPlan::kNever});
       return;
     }
     const double outage_s = rng.exponential(1.0 / downtime_s);
-    out.push_back({at, at + seconds_to_nanos(outage_s)});
+    // An outage too long for Nanos lasts past any horizon.
+    const std::optional<Nanos> outage = to_nanos(outage_s, 1e9);
+    out.push_back(
+        {at, outage ? outage_end(at, *outage) : CompiledPlan::kNever});
     t_s += outage_s + rng.exponential(1.0 / mtbf_s);
   }
 }
@@ -160,7 +180,9 @@ Result<FaultPlan> FaultPlan::parse(std::string_view text) {
     } else if (word == "timeout_ms") {
       double ms = 0;
       if (!(tok >> ms)) return fail("expected: timeout_ms <ms>");
-      plan.phase_timeout = Nanos{static_cast<std::int64_t>(ms * 1e6)};
+      const std::optional<Nanos> timeout = to_nanos(ms, 1e6);
+      if (!timeout) return fail("timeout_ms out of range");
+      plan.phase_timeout = *timeout;
     } else if (word == "churn") {
       std::string tier, k1, k2;
       double mtbf = 0;
@@ -189,7 +211,9 @@ Result<FaultPlan> FaultPlan::parse(std::string_view text) {
       if (!(tok >> plan.delay_probability >> us)) {
         return fail("expected: delay <p> <extra latency µs>");
       }
-      plan.delay = Nanos{static_cast<std::int64_t>(us * 1e3)};
+      const std::optional<Nanos> delay = to_nanos(us, 1e3);
+      if (!delay) return fail("delay latency out of range");
+      plan.delay = *delay;
     } else if (word == "crash") {
       std::string tier, k1, k2;
       std::uint32_t id = 0;
@@ -199,12 +223,13 @@ Result<FaultPlan> FaultPlan::parse(std::string_view text) {
           k1 != "at_ms" || k2 != "for_ms") {
         return fail("expected: crash stage|aggregator <id> at_ms <ms> for_ms <ms>");
       }
-      const Nanos at{static_cast<std::int64_t>(at_ms * 1e6)};
-      const Nanos down{static_cast<std::int64_t>(for_ms * 1e6)};
+      const std::optional<Nanos> at = to_nanos(at_ms, 1e6);
+      const std::optional<Nanos> down = to_nanos(for_ms, 1e6);
+      if (!at || !down) return fail("crash time out of range");
       if (tier == "stage") {
-        plan.crash_stage(id, at, down);
+        plan.crash_stage(id, *at, *down);
       } else if (tier == "aggregator") {
-        plan.crash_aggregator(id, at, down);
+        plan.crash_aggregator(id, *at, *down);
       } else {
         return fail("crash tier must be stage or aggregator");
       }
@@ -221,8 +246,10 @@ Result<FaultPlan> FaultPlan::parse(std::string_view text) {
         return fail(
             "expected: slow <first> <last> from_ms <ms> until_ms <ms> x <mult>");
       }
-      plan.slow(first, last, Nanos{static_cast<std::int64_t>(from_ms * 1e6)},
-                Nanos{static_cast<std::int64_t>(until_ms * 1e6)}, mult);
+      const std::optional<Nanos> from = to_nanos(from_ms, 1e6);
+      const std::optional<Nanos> until = to_nanos(until_ms, 1e6);
+      if (!from || !until) return fail("slow window out of range");
+      plan.slow(first, last, *from, *until, mult);
     } else if (word == "partition") {
       std::uint32_t first = 0;
       std::uint32_t last = 0;
@@ -233,9 +260,10 @@ Result<FaultPlan> FaultPlan::parse(std::string_view text) {
           k1 != "from_ms" || k2 != "until_ms") {
         return fail("expected: partition <first> <last> from_ms <ms> until_ms <ms>");
       }
-      plan.partition(first, last,
-                     Nanos{static_cast<std::int64_t>(from_ms * 1e6)},
-                     Nanos{static_cast<std::int64_t>(until_ms * 1e6)});
+      const std::optional<Nanos> from = to_nanos(from_ms, 1e6);
+      const std::optional<Nanos> until = to_nanos(until_ms, 1e6);
+      if (!from || !until) return fail("partition window out of range");
+      plan.partition(first, last, *from, *until);
     } else {
       return fail("unknown directive '" + word + "'");
     }
@@ -272,14 +300,16 @@ CompiledPlan CompiledPlan::compile(const FaultPlan& plan,
 
   for (const StageCrash& crash : plan.stage_crashes) {
     if (crash.stage >= num_stages) continue;  // off-topology: ignore
-    const Nanos until =
-        crash.down_for > Nanos{0} ? crash.at + crash.down_for : kNever;
+    const Nanos until = crash.down_for > Nanos{0}
+                            ? outage_end(crash.at, crash.down_for)
+                            : kNever;
     compiled.stage_down_[crash.stage].push_back({crash.at, until});
   }
   for (const AggregatorCrash& crash : plan.aggregator_crashes) {
     if (crash.aggregator >= num_aggregators) continue;
-    const Nanos until =
-        crash.down_for > Nanos{0} ? crash.at + crash.down_for : kNever;
+    const Nanos until = crash.down_for > Nanos{0}
+                            ? outage_end(crash.at, crash.down_for)
+                            : kNever;
     compiled.aggregator_down_[crash.aggregator].push_back({crash.at, until});
   }
 

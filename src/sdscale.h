@@ -34,7 +34,6 @@
 #include "stage/virtual_stage.h"// IWYU pragma: export
 
 #include "core/aggregator.h"    // IWYU pragma: export
-#include "core/coordinated.h"   // IWYU pragma: export
 #include "core/cycle_stats.h"   // IWYU pragma: export
 #include "core/global.h"        // IWYU pragma: export
 #include "core/policy_table.h"  // IWYU pragma: export

@@ -85,16 +85,10 @@ class Engine {
 
   /// Execute events with timestamps strictly earlier than `bound`.
   /// Unlike run_until, the clock is left at the last executed event: the
-  /// experiment driver samples at fixed instants between events without
-  /// moving the clock, and its coordinated-peer join reads the clock as
-  /// the instant the cycle's last event ran.
+  /// experiment driver samples at fixed instants between events, and a
+  /// sample must not move the clock.
   void run_before(Nanos bound) {
     while (prepare_next() && next_key().at < bound) step();
-  }
-
-  /// Advance the clock to `t` without executing anything; never rewinds.
-  void advance_to(Nanos t) {
-    if (now_ < t) now_ = t;
   }
 
   [[nodiscard]] bool empty() const { return pending_ == 0; }
@@ -269,7 +263,7 @@ class Engine {
         // Everything pending is beyond the horizon: rebase the (empty)
         // wheel at the earliest overflow event instead of scanning.
         cursor_ = std::max(cursor_ + 1, bucket_of(overflow_.front().at));
-      } else if (!advance_to_occupied_bucket()) {
+      } else if (!seek_occupied_bucket()) {
         return false;  // unreachable while wheel_count_ > 0
       }
       drain_overflow();
@@ -279,7 +273,7 @@ class Engine {
   }
 
   /// Move the cursor to the next occupied wheel bucket (bitmap scan).
-  bool advance_to_occupied_bucket() {
+  bool seek_occupied_bucket() {
     for (std::uint64_t probe = cursor_ + 1; probe <= cursor_ + kWheelBuckets;
          /* advanced below */) {
       const std::uint64_t slot = probe & kBucketMask;

@@ -13,7 +13,6 @@
 
 #include "common/rng.h"
 #include "core/aggregator.h"
-#include "core/coordinated.h"
 #include "core/global.h"
 #include "core/metrics_store.h"
 #include "policy/incremental_psfa.h"
@@ -41,10 +40,10 @@ constexpr Nanos kUtilizationSampleInterval = millis(50);
 /// One simulated run. Event closures capture `this` and plain indices;
 /// all vectors are sized before the first event fires.
 ///
-/// Flat, 2-level and 3-level designs run as one tree of controller
-/// nodes (Node) on one collect and one enforce path, each phase closed
-/// by a PhaseGate; coordinated peers exchange all-to-all, which is not a
-/// tree, and keep their own path.
+/// Flat, 2-level, 3-level and coordinated designs run as one tree of
+/// controller nodes (Node) on one collect and one enforce path, each
+/// phase closed by a PhaseGate. Coordinated peers are leaves of the tree
+/// that exchange summaries with each other instead of reporting up.
 ///
 /// Cross-cycle aggregates (peer summaries, child reports, pass-through
 /// batches) are id-indexed rather than accumulated in arrival order, so
@@ -77,7 +76,12 @@ class Run {
           cfg_.tracer->set_track_name(static_cast<std::uint32_t>(1 + a),
                                       "aggregator " + std::to_string(a));
         }
-      } else if (cfg_.coordinated_peers == 0) {
+      } else if (cfg_.coordinated_peers > 0) {
+        for (std::size_t p = 0; p < cfg_.coordinated_peers; ++p) {
+          cfg_.tracer->set_track_name(static_cast<std::uint32_t>(1 + p),
+                                      "peer " + std::to_string(p));
+        }
+      } else {
         cfg_.tracer->set_track_name(1, "stage 0");
       }
     }
@@ -226,13 +230,20 @@ class Run {
     /// An aggregator runs PSFA itself under a budget lease; the root only
     /// re-leases budgets.
     bool local_decisions = false;
+    /// Coordinated design (paper §VI): the root's children are peers
+    /// that each send their summary to every peer instead of up, and
+    /// compute their own stages' rules from all of them. The root only
+    /// counts the peers.
+    bool coordinated = false;
   };
 
   /// One controller of the tree: the global controller at the root,
-  /// super-aggregators inside it, aggregators above the stages.
+  /// super-aggregators inside it, aggregators or coordinated peers above
+  /// the stages.
   struct Node {
     std::unique_ptr<SimHost> host;
-    /// Aggregators only (the controllers that fold, summarize and route).
+    /// Aggregators and peers only (the controllers that fold, summarize
+    /// and route, or compute their own rules).
     std::unique_ptr<core::AggregatorCore> core;
     /// Where stage reports fold on the store path: the root's store_ in
     /// the flat design, an aggregator's own store otherwise.
@@ -247,7 +258,8 @@ class Run {
     /// Position among the parent's children (canonical report slot).
     std::size_t child_pos = 0;
     /// Position within the node's tier: the aggregator id (fault plan
-    /// entity, rule grouping, lease slot) or the super-aggregator id.
+    /// entity, rule grouping, lease slot), the peer id or the
+    /// super-aggregator id.
     std::size_t index = 0;
     Policy policy;
     /// Stage replies or child reports on the way up; stage or child acks
@@ -274,6 +286,8 @@ class Run {
     /// the root's are the cycle's.
     std::size_t stale = 0;
     std::vector<Nanos> recoveries;
+    /// Summaries a coordinated peer holds, its own included.
+    std::size_t exchanged = 0;
 
     [[nodiscard]] std::size_t stage_count() const {
       return stage_end - stage_begin;
@@ -293,24 +307,6 @@ class Run {
     Nanos close{-1};
     std::size_t stale = 0;
     std::vector<Nanos> recoveries;
-  };
-
-  struct Peer {
-    std::unique_ptr<core::CoordinatedControllerCore> core;
-    std::unique_ptr<SimHost> host;
-    std::vector<std::size_t> stage_indices;
-    std::vector<proto::StageMetrics> collected;
-    /// All-to-all exchange buffer, indexed by source peer — every peer
-    /// feeds PSFA the same input regardless of arrival order.
-    std::vector<proto::AggregatedMetrics> summaries;
-    std::size_t summaries_received = 0;
-    std::size_t pending_metrics = 0;
-    std::size_t pending_acks = 0;
-    /// Phase completion instants, joined by on_queue_drained() into the
-    /// cycle's phase boundaries.
-    Nanos exchange_done_at{0};
-    Nanos compute_done_at{0};
-    Nanos enforce_done_at{0};
   };
 
   [[nodiscard]] bool coordinated() const { return cfg_.coordinated_peers > 0; }
@@ -352,13 +348,17 @@ class Run {
       stages_.emplace_back(info, std::move(data), std::move(meta));
     }
 
-    // The root exists in every mode; coordinated peers never drive it.
     const std::size_t n = cfg_.num_stages;
-    const std::size_t a_count = cfg_.num_aggregators;
+    // The tier above the stages: aggregators, or coordinated peers.
+    const std::size_t a_count =
+        coordinated() ? cfg_.coordinated_peers : cfg_.num_aggregators;
     const std::size_t s_count = deep() ? cfg_.num_super_aggregators : 0;
-    const Policy policy{!cfg_.parallel_fanout, !cfg_.preaggregate,
-                        cfg_.local_decisions};
-    nodes_.resize(1 + a_count + s_count);  // the root alone when coordinated
+    // Peers take none of the hierarchy's fan-out, relay or lease settings.
+    const Policy policy =
+        coordinated() ? Policy{false, false, false, true}
+                      : Policy{!cfg_.parallel_fanout, !cfg_.preaggregate,
+                               cfg_.local_decisions, false};
+    nodes_.resize(1 + a_count + s_count);
     for (Node& node : nodes_) {
       node.policy = policy;
       node.collect = PhaseGate(fault_.get());
@@ -368,37 +368,23 @@ class Run {
     root.host = std::make_unique<SimHost>(eng_, prof_, "global");
     root.store = &store_;
 
-    if (coordinated()) {
-      const std::size_t k = cfg_.coordinated_peers;
-      peers_.reserve(k);
-      for (std::size_t p = 0; p < k; ++p) {
-        auto peer = std::make_unique<Peer>();
-        peer->core = std::make_unique<core::CoordinatedControllerCore>(
-            ControllerId{static_cast<std::uint32_t>(p)}, cfg_.budgets);
-        peer->host = std::make_unique<SimHost>(eng_, prof_,
-                                               "peer" + std::to_string(p));
-        const std::size_t begin = p * n / k;
-        const std::size_t end = (p + 1) * n / k;
-        for (std::size_t i = begin; i < end; ++i) {
-          peer->stage_indices.push_back(i);
-        }
-        peers_.push_back(std::move(peer));
-      }
-      return;
-    }
-
-    // Contiguous block partitions: aggregator a holds stages
+    // Contiguous block partitions: aggregator (or peer) a holds stages
     // [a*n/A, (a+1)*n/A), super-aggregator s holds aggregators
     // [s*A/S, (s+1)*A/S).
     root.stage_end = n;
     for (std::size_t a = 0; a < a_count; ++a) {
       Node& agg = nodes_[1 + a];
-      agg.host = std::make_unique<SimHost>(eng_, prof_, "agg" + std::to_string(a));
+      std::string name = coordinated() ? "peer" : "agg";
+      name += std::to_string(a);
+      agg.host = std::make_unique<SimHost>(eng_, prof_, std::move(name));
+      // A peer's summary carries no digests: no one splits its stages but
+      // the peer itself.
       agg.core = std::make_unique<core::AggregatorCore>(
           core::AggregatorOptions{ControllerId{static_cast<std::uint32_t>(a)},
                                   cfg_.preaggregate,
-                                  /*include_digests=*/true,
+                                  /*include_digests=*/!coordinated(),
                                   cfg_.activity_threshold});
+      agg.core->policies().set_budgets(cfg_.budgets);  // a peer allocates them
       agg.store = &agg.core->store();
       agg.index = a;
       agg.stage_begin = a * n / a_count;
@@ -484,168 +470,7 @@ class Run {
     nodes_[kRoot].close_max = Nanos{-1};
     nodes_[kRoot].apply_max = Nanos{-1};
     collect_req_size_ = frame_size(req);
-    cycle_in_flight_ = true;
-    if (coordinated()) {
-      start_cycle_coordinated();
-      return;
-    }
     after_sync([this] { start_collect(); });
-  }
-
-  /// Runs whenever the event queue drains: joins finished coordinated
-  /// cycles and launches deferred cycle starts. Returns true iff it
-  /// scheduled new work.
-  bool on_queue_drained() {
-    if (!coordinated()) return false;
-    if (cycle_in_flight_) {
-      finish_cycle_coordinated();
-      return true;
-    }
-    if (next_cycle_pending_ && !done_) {
-      next_cycle_pending_ = false;
-      eng_.advance_to(next_cycle_at_);
-      start_cycle();
-      return true;
-    }
-    return false;
-  }
-
-  // -- Coordinated flat design (paper §VI future work #1) ----------------
-  //
-  // Phase accounting: peers pipeline independently, so phase boundaries
-  // are taken as the time the LAST peer passes each stage — collect ends
-  // when every peer holds all K summaries, compute when every peer has
-  // computed, enforce when the last ack lands. Each peer records its own
-  // completion instants, and on_queue_drained() joins them once the
-  // cycle's last event has run.
-
-  void start_cycle_coordinated() {
-    for (auto& peer : peers_) {
-      peer->collected.clear();
-      peer->pending_metrics = peer->stage_indices.size();
-      peer->summaries.assign(peers_.size(), {});
-      peer->summaries_received = 0;
-      peer->pending_acks = 0;
-      peer->exchange_done_at = Nanos{0};
-      peer->compute_done_at = Nanos{0};
-      peer->enforce_done_at = Nanos{0};
-    }
-    // All peers leave the synchronization wait at the same instant.
-    const Nanos at = eng_.now() + prof_.phase_sync_overhead;
-    for (std::size_t p = 0; p < peers_.size(); ++p) {
-      eng_.schedule_at(at, [this, p] { peer_collect_fanout(p); });
-    }
-  }
-
-  void peer_collect_fanout(std::size_t p) {
-    const std::vector<std::size_t>& indices = peers_[p]->stage_indices;
-    peers_[p]->host->broadcast(indices.size(), collect_req_size_, [&](std::size_t i) {
-      const std::size_t idx = indices[i];
-      return [this, p, idx] {
-        const proto::StageMetrics m = stages_[idx].collect(cycle_, eng_.now());
-        const std::size_t sz = frame_size(m);
-        eng_.schedule_in(prof_.stage_service + prof_.wire_latency,
-                         [this, p, m, sz] {
-                           peers_[p]->host->receive(sz, [this, p, m] {
-                             peers_[p]->collected.push_back(m);
-                             if (--peers_[p]->pending_metrics == 0) {
-                               peer_broadcast_summary(p);
-                             }
-                           });
-                         });
-      };
-    });
-  }
-
-  void peer_broadcast_summary(std::size_t p) {
-    Peer& peer = *peers_[p];
-    const proto::AggregatedMetrics summary =
-        peer.core->summarize(cycle_, peer.collected);
-    const Nanos cost =
-        scaled(prof_.cpu_agg_merge_per_stage, peer.stage_indices.size());
-    const std::size_t sz = frame_size(summary);
-    peer.host->run(cost, [this, p, summary, sz] {
-      peer_accept_summary(p, p, summary);  // own summary, no wire
-      peers_[p]->host->broadcast(
-          peers_.size() - 1, sz, [&](std::size_t i) {
-            const std::size_t q = i < p ? i : i + 1;  // skip self
-            return [this, q, p, sz, summary] {
-              peers_[q]->host->receive(sz, [this, q, p, summary] {
-                peer_accept_summary(q, p, summary);
-              });
-            };
-          });
-    });
-  }
-
-  void peer_accept_summary(std::size_t p, std::size_t src,
-                           const proto::AggregatedMetrics& summary) {
-    Peer& peer = *peers_[p];
-    peer.summaries[src] = summary;
-    if (++peer.summaries_received < peers_.size()) return;
-    peer.exchange_done_at = eng_.now();
-    peer_compute(p);
-  }
-
-  void peer_compute(std::size_t p) {
-    Peer& peer = *peers_[p];
-    // Every peer runs the full global PSFA (the redundancy that buys
-    // central-controller-free global visibility), then splits only its
-    // own subtree.
-    auto rules = std::make_shared<std::vector<proto::Rule>>(
-        peer.core->compute_own_rules(cycle_, peer.summaries, peer.collected));
-    const Nanos cost = scaled(prof_.cpu_psfa_per_job, num_jobs()) +
-                       scaled(prof_.cpu_split_per_stage,
-                              peer.stage_indices.size());
-    peer.host->run(cost, [this, p, rules] {
-      peers_[p]->compute_done_at = eng_.now();
-      peer_enforce(p, *rules);
-    });
-  }
-
-  void peer_enforce(std::size_t p, const std::vector<proto::Rule>& rules) {
-    Peer& peer = *peers_[p];
-    peer.pending_acks = rules.size();
-    if (rules.empty()) {
-      peer_enforce_done(p);
-      return;
-    }
-    for (const auto& rule : rules) {
-      proto::EnforceBatch single;
-      single.cycle_id = cycle_;
-      single.rules.push_back(rule);
-      const std::size_t sz = enforce_frame_size(single);
-      peer.host->send(
-          sz,
-          [this, p, rule] {
-            apply_rule_and_ack(rule, peers_[p]->host.get(), [this, p](Nanos) {
-              if (--peers_[p]->pending_acks == 0) peer_enforce_done(p);
-            });
-          },
-          prof_.cpu_route_per_rule);
-    }
-  }
-
-  void peer_enforce_done(std::size_t p) {
-    peers_[p]->enforce_done_at = eng_.now();
-  }
-
-  /// Joins a finished coordinated cycle once the queue drains: the
-  /// phase boundaries are the maxima of the per-peer completion
-  /// instants, exactly the "last peer past each stage" definition.
-  void finish_cycle_coordinated() {
-    Nanos exchange{0};
-    Nanos compute{0};
-    Nanos enforce{0};
-    for (const auto& peer : peers_) {
-      exchange = std::max(exchange, peer->exchange_done_at);
-      compute = std::max(compute, peer->compute_done_at);
-      enforce = std::max(enforce, peer->enforce_done_at);
-    }
-    collect_end_ = exchange;
-    compute_end_ = compute;
-    eng_.advance_to(enforce);
-    finish_cycle();
   }
 
   // -- Fault-injection helpers -------------------------------------------
@@ -750,14 +575,22 @@ class Run {
 
   // -- The control tree ----------------------------------------------------
   //
-  // Flat, 2-level and 3-level runs are one tree of controller nodes (see
-  // Node). A cycle walks it twice. Collect goes down as requests and
-  // comes back up as reports: a node with stage leaves folds their
-  // replies, any other node merges its children's reports, and every
-  // node but the root reports to its parent once its collect gate
-  // closes. Enforce goes down as rule batches (or budget leases) and
-  // comes back up as acks the same way. The root computes between the
-  // two walks and closes the cycle when its enforce gate closes.
+  // Flat, 2-level, 3-level and coordinated runs are one tree of
+  // controller nodes (see Node). A cycle walks it twice. Collect goes
+  // down as requests and comes back up as reports: a node with stage
+  // leaves folds their replies, any other node merges its children's
+  // reports, and every node but the root reports to its parent once its
+  // collect gate closes. Enforce goes down as rule batches (or budget
+  // leases) and comes back up as acks the same way. The root computes
+  // between the two walks and closes the cycle when its enforce gate
+  // closes.
+  //
+  // Coordinated peers differ in two steps only. A peer sends its summary
+  // to every peer instead of up, and once it holds all K it computes its
+  // own rules (decide_coordinated). Phase boundaries are the last peer
+  // past each step: collect ends when the last peer holds every summary,
+  // compute when the last peer has computed, and the root closes the
+  // cycle when the last peer's enforce closes.
 
   /// Restart every node's collect count and open the root's collect.
   /// Each non-root node raises its guard only when the request reaches
@@ -768,6 +601,7 @@ class Run {
       Node& node = nodes_[n];
       node.collect.begin(node.fanout());
       node.close_max = Nanos{-1};
+      node.exchanged = 0;
       if (!node.children.empty()) {
         node.child_summaries.assign(node.children.size(), {});
         if (node.policy.pass_through) {
@@ -799,6 +633,14 @@ class Run {
                            [this, n](std::size_t i) {
                              return [this, n, i] { on_stage_collect(n, i); };
                            });
+      // More aggregators or peers than stages leave a leaf with no stage,
+      // and no reply to wait for.
+      if (node.stage_count() == 0) close_collect(n);
+    } else if (node.policy.coordinated) {
+      // Peers need no request: each opens its own collect now. The
+      // root's enforce gate counts the peers whose enforce has closed.
+      open_enforce(node, node.children.size());
+      for (const std::size_t c : node.children) collect_down(c);
     } else if (node.policy.serial_fanout) {
       send_collect(n, 0);
     } else {
@@ -917,7 +759,8 @@ class Run {
 
   /// Node `n` summarizes its subtree — a pre-aggregated or relayed batch
   /// of its stage reports, or the merge of its children's reports — and
-  /// sends it to its parent after the CPU work.
+  /// sends it to its parent after the CPU work (a coordinated peer shares
+  /// it with every peer instead).
   void report_up(std::size_t n) {
     Node& node = nodes_[n];
     auto report = std::make_shared<Report>();
@@ -965,9 +808,41 @@ class Run {
     report->stale = node.stale;
     report->recoveries.swap(node.recoveries);
     node.host->run(cost, [this, n, report = std::move(report), sz] {
+      if (nodes_[n].policy.coordinated) {
+        share_summary(n, std::move(report->summary), sz);
+        return;
+      }
       send_up(n, fault::MessageKind::kAggregatorReport, sz,
               [this, n, report, c = cycle_] { accept_report(n, *report, c); });
     });
+  }
+
+  /// Coordinated peer `n` shares its summary: with itself at once, then
+  /// with the K-1 other peers in one broadcast. Every peer ends up with
+  /// the same K summaries, so they are kept once, at the root, indexed by
+  /// peer id; each peer counts the ones it has received.
+  void share_summary(std::size_t n, proto::AggregatedMetrics summary,
+                     std::size_t sz) {
+    const Node& peer = nodes_[n];
+    const std::vector<std::size_t>& peers = nodes_[kRoot].children;
+    nodes_[kRoot].child_summaries[peer.child_pos] = std::move(summary);
+    accept_summary(n);
+    peer.host->broadcast(peers.size() - 1, sz, [&](std::size_t i) {
+      const std::size_t q = peers[i < peer.child_pos ? i : i + 1];  // skip self
+      return [this, q, sz] {
+        nodes_[q].host->receive(sz, [this, q] { accept_summary(q); });
+      };
+    });
+  }
+
+  /// At coordinated peer `n`: one more summary is in. With all K its
+  /// collect ends, and it computes on its own.
+  void accept_summary(std::size_t n) {
+    if (++nodes_[n].exchanged < nodes_[kRoot].children.size()) return;
+    // Events run in time order, so the last peer to get here sets the
+    // collect boundary (and, in decide_coordinated, the compute one).
+    collect_end_ = eng_.now();
+    decide_coordinated(n);
   }
 
   /// Merge a node's child summaries in child order (job rows merged,
@@ -1167,6 +1042,13 @@ class Run {
     enforce_down(kRoot);
   }
 
+  /// Restart `node`'s enforce count and the apply accounting it carries.
+  static void open_enforce(Node& node, std::size_t expected) {
+    node.enforce.begin(expected);
+    node.applied = 0;
+    node.apply_max = Nanos{-1};
+  }
+
   /// Enforce reached node `n`: fan the batches (or leases) out to its
   /// children, or send rules to its stages — the root's computed rules,
   /// an aggregator's routed share, or its own local decisions.
@@ -1182,9 +1064,7 @@ class Run {
       }
       return;
     }
-    node.enforce.begin(node.children.size());
-    node.applied = 0;
-    node.apply_max = Nanos{-1};
+    open_enforce(node, node.children.size());
     guard(n, Phase::kEnforce);
     if (node.policy.serial_fanout) {
       send_enforce(n, 0);
@@ -1253,12 +1133,26 @@ class Run {
     });
   }
 
+  /// Coordinated policy: every peer runs the full global PSFA over the K
+  /// summaries (the redundancy that buys global visibility without a
+  /// central controller), splits only its own stages' share and enforces
+  /// it. There is no sync wait: the exchange is the only coordination.
+  void decide_coordinated(std::size_t n) {
+    Node& node = nodes_[n];
+    auto rules = node.core->compute_own_rules(
+        cycle_, nodes_[kRoot].child_summaries, node.collected);
+    const Nanos cost = scaled(prof_.cpu_psfa_per_job, num_jobs()) +
+                       scaled(prof_.cpu_split_per_stage, node.stage_count());
+    node.host->run(cost, [this, n, rules = std::move(rules)] {
+      compute_end_ = eng_.now();  // the last peer to compute sets it
+      send_rules(n, rules);
+    });
+  }
+
   /// Send each rule to its stage as a one-rule batch and gather the acks.
   void send_rules(std::size_t n, const std::vector<proto::Rule>& rules) {
     Node& node = nodes_[n];
-    node.enforce.begin(rules.size());
-    node.applied = 0;
-    node.apply_max = Nanos{-1};
+    open_enforce(node, rules.size());
     if (rules.empty()) {
       finish_enforce(n);
       return;
@@ -1340,6 +1234,11 @@ class Run {
   void finish_enforce(std::size_t n) {
     if (n == kRoot) {
       finish_cycle();
+    } else if (nodes_[n].policy.coordinated) {
+      // A peer sends no ack; the root just counts it. Peers apply rules
+      // on their own timelines, so the cycle has no disseminate segment.
+      accept_ack(n, nodes_[n].applied, Nanos{-1}, /*short_acked=*/false,
+                 cycle_);
     } else {
       ack_up(n);
     }
@@ -1464,7 +1363,6 @@ class Run {
     }
     last_cycle_end_ = eng_.now();
     trace_cycle(breakdown);
-    cycle_in_flight_ = false;
 
     const bool hit_cycle_cap =
         cfg_.max_cycles != 0 && stats_.cycles() >= cfg_.max_cycles;
@@ -1475,14 +1373,7 @@ class Run {
     if (cfg_.cycle_period > Nanos{0}) {
       const Nanos next = cycle_start_ + cfg_.cycle_period;
       if (next > eng_.now()) {
-        if (coordinated()) {
-          // Deferred: on_queue_drained() starts it once this cycle's
-          // last events have run, as it joins the cycle.
-          next_cycle_pending_ = true;
-          next_cycle_at_ = next;
-        } else {
-          eng_.schedule_at(next, [this] { start_cycle(); });
-        }
+        eng_.schedule_at(next, [this] { start_cycle(); });
         return;
       }
     }
@@ -1541,17 +1432,15 @@ class Run {
   /// on a fixed simulated-time grid, independent of cycle boundaries
   /// (sampling only at enforcement instants would alias: limits are
   /// freshest exactly then). A sample at instant t runs before any event
-  /// at or after t. run_before leaves the clock at the last executed
-  /// event, which the coordinated join reads; when the queue drains,
-  /// that join runs before any pending sample. Sampling stops at the
-  /// first sample instant reached after the run is done.
+  /// at or after t, and run_before leaves the clock at the last executed
+  /// event, so sampling never moves it. Sampling stops at the first
+  /// sample instant reached after the run is done.
   void run_events() {
     constexpr Nanos kNever{std::numeric_limits<std::int64_t>::max()};
     Nanos next_sample = kUtilizationSampleInterval;
     bool sampling = true;
     for (;;) {
       eng_.run_before(sampling ? next_sample : kNever);
-      if (eng_.empty() && on_queue_drained()) continue;
       if (!sampling) break;
       // Nothing left to run before next_sample.
       if (done_) {
@@ -1653,22 +1542,23 @@ class Run {
     };
     const double n = static_cast<double>(cfg_.num_stages);
     std::vector<ControllerUsage> tier;
-    if (coordinated()) {
+    const Node& root = nodes_[kRoot];
+    if (root.policy.coordinated) {
       // Each peer looks like a small flat controller plus K-1 peer links.
-      const double k = static_cast<double>(peers_.size());
-      for (const auto& peer : peers_) {
+      const double k = static_cast<double>(root.children.size());
+      for (const std::size_t id : root.children) {
+        const Node& peer = nodes_[id];
         const double mem =
             prof_.mem_base_bytes +
-            static_cast<double>(peer->stage_indices.size()) *
+            static_cast<double>(peer.stage_count()) *
                 (prof_.mem_per_conn_bytes + prof_.mem_per_stage_state_bytes) +
             (k - 1) * prof_.mem_per_conn_bytes;
-        tier.push_back(usage(*peer->host, mem, prof_.cpu_percent_scale));
+        tier.push_back(usage(*peer.host, mem, prof_.cpu_percent_scale));
       }
       result.global = tier.front();
       result.aggregator = mean(tier);
       return result;
     }
-    const Node& root = nodes_[kRoot];
     if (root.children.empty()) {
       const double mem = prof_.mem_base_bytes +
                          n * (prof_.mem_per_conn_bytes +
@@ -1714,10 +1604,10 @@ class Run {
   /// that keep the batch pipeline; resolved in execute()).
   bool store_collect_ = false;
   bool delta_collect_ = false;
-  /// The control tree: the root, aggregator a at 1 + a (its tracer
-  /// track), then the super-aggregators. Sized once; closures hold ids.
+  /// The control tree: the root, aggregator or peer a at 1 + a (its
+  /// tracer track), then the super-aggregators. Sized once; closures
+  /// hold ids.
   std::vector<Node> nodes_;
-  std::vector<std::unique_ptr<Peer>> peers_;
   std::vector<stage::VirtualStage> stages_;
 
   // Per-cycle state.
@@ -1751,9 +1641,6 @@ class Run {
   RunningStats meta_utilization_;
   telemetry::Gauge* events_gauge_ = nullptr;
   telemetry::Gauge* vtime_gauge_ = nullptr;
-  bool cycle_in_flight_ = false;
-  bool next_cycle_pending_ = false;
-  Nanos next_cycle_at_{0};
   bool done_ = false;
 
   // -- Fault-injection state (unallocated without a plan) ---------------

@@ -83,7 +83,8 @@ struct ExperimentConfig {
   /// summaries are store-slot-ordered instead of arrival-ordered, which
   /// only perturbs last-bit FP rounding. Silently falls back to the
   /// legacy batch path under a fault plan (degraded cycles need the
-  /// received-only compaction), in coordinated mode, in pass-through
+  /// received-only compaction), in coordinated mode (peers summarize in
+  /// arrival order, like aggregators on the batch path), in pass-through
   /// mode and with local decisions.
   bool store_collect = true;
   /// Ablation: force the store-backed compute to rebuild every job from
@@ -197,8 +198,7 @@ struct ExperimentResult {
   double mean_recovery_ms = 0;
   // -- Collect-path wire accounting -------------------------------------
   /// Bytes of accepted stage→controller collect report frames as modeled
-  /// on the wire (delta frames when delta_collect is on). Coordinated
-  /// mode does not fill these counters.
+  /// on the wire (delta frames when delta_collect is on).
   std::uint64_t collect_wire_bytes = 0;
   /// What the same reports would have cost as full StageMetrics frames
   /// (== collect_wire_bytes when delta_collect is off). The ratio

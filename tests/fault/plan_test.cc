@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
 
 namespace sds::fault {
 namespace {
@@ -93,6 +94,44 @@ TEST(FaultPlanTest, ParseReportsLineNumbers) {
       << plan.status();
 }
 
+/// `directive`, parsed as line 2 of a plan, is refused because a time in
+/// it does not fit in Nanos, and the message names the line.
+void expect_out_of_range(const std::string& directive) {
+  const auto plan = FaultPlan::parse("seed 1\n" + directive + "\n");
+  ASSERT_FALSE(plan.is_ok()) << directive;
+  const std::string& message = plan.status().message();
+  EXPECT_NE(message.find("line 2: "), std::string::npos) << plan.status();
+  EXPECT_NE(message.find("out of range"), std::string::npos) << plan.status();
+}
+
+TEST(FaultPlanTest, TimeoutBeyondNanosIsRefused) {
+  expect_out_of_range("timeout_ms 1e13");
+  expect_out_of_range("timeout_ms -1e300");
+  // Just inside the range is kept as written.
+  const auto plan = FaultPlan::parse("timeout_ms 9e12\n");
+  ASSERT_TRUE(plan.is_ok()) << plan.status();
+  EXPECT_EQ(plan->phase_timeout, Nanos{9'000'000'000'000'000'000});
+}
+
+TEST(FaultPlanTest, DelayBeyondNanosIsRefused) {
+  expect_out_of_range("delay 0.1 1e300");
+}
+
+TEST(FaultPlanTest, CrashTimesBeyondNanosAreRefused) {
+  expect_out_of_range("crash stage 1 at_ms 1e300 for_ms 0");
+  expect_out_of_range("crash aggregator 0 at_ms 5 for_ms 1e300");
+}
+
+TEST(FaultPlanTest, SlowWindowBeyondNanosIsRefused) {
+  expect_out_of_range("slow 0 3 from_ms -1e300 until_ms 5 x 2");
+  expect_out_of_range("slow 0 3 from_ms 0 until_ms 1e300 x 2");
+}
+
+TEST(FaultPlanTest, PartitionWindowBeyondNanosIsRefused) {
+  expect_out_of_range("partition 0 1 from_ms -1e300 until_ms 5");
+  expect_out_of_range("partition 0 1 from_ms 0 until_ms 1e300");
+}
+
 TEST(FaultPlanTest, LoadMissingFileIsNotFound) {
   const auto plan = FaultPlan::load("/nonexistent/fault.plan");
   EXPECT_EQ(plan.status().code(), StatusCode::kNotFound);
@@ -117,6 +156,17 @@ TEST(CompiledPlanTest, ScriptedCrashesGateUp) {
   EXPECT_EQ(compiled.stage_outages(2)[0].until, millis(15));
   ASSERT_EQ(compiled.aggregator_outages(1).size(), 1u);
   EXPECT_EQ(compiled.aggregator_outages(1)[0].until, CompiledPlan::kNever);
+}
+
+TEST(CompiledPlanTest, CrashEndingBeyondNanosNeverEnds) {
+  // Start and length each fit in Nanos; their sum does not.
+  FaultPlan plan;
+  plan.crash_stage(1, Nanos{9'000'000'000'000'000'000},
+                   Nanos{9'000'000'000'000'000'000});
+  const auto compiled = CompiledPlan::compile(plan, 4, 0, seconds(1));
+  ASSERT_EQ(compiled.stage_outages(1).size(), 1u);
+  EXPECT_EQ(compiled.stage_outages(1)[0].until, CompiledPlan::kNever);
+  EXPECT_FALSE(compiled.stage_up(1, Nanos{9'100'000'000'000'000'000}));
 }
 
 TEST(CompiledPlanTest, SlowAndPartitionWindows) {
@@ -157,6 +207,26 @@ TEST(CompiledPlanTest, ChurnIsDeterministicPerSeed) {
                a.stage_outages(i)[0].from != c.stage_outages(i)[0].from);
   }
   EXPECT_TRUE(differs) << "different seeds produced identical churn";
+}
+
+TEST(CompiledPlanTest, ChurnBeyondNanosStopsAtTheHorizon) {
+  // A failure interval too long for Nanos: the first arrival lies far
+  // past the horizon, so the expansion ends with no outage.
+  FaultPlan rare;
+  rare.stage_mtbf_s = 1e12;
+  rare.stage_downtime_s = 1;
+  EXPECT_EQ(CompiledPlan::compile(rare, 4, 0, seconds(1)).total_outages(), 0u);
+
+  // An outage too long for Nanos never ends.
+  FaultPlan sticky;
+  sticky.stage_mtbf_s = 0.01;
+  sticky.stage_downtime_s = 1e300;
+  const auto compiled = CompiledPlan::compile(sticky, 4, 0, seconds(1));
+  for (std::size_t i = 0; i < 4; ++i) {
+    ASSERT_EQ(compiled.stage_outages(i).size(), 1u) << i;
+    EXPECT_EQ(compiled.stage_outages(i)[0].until, CompiledPlan::kNever);
+    EXPECT_FALSE(compiled.stage_up(i, seconds(1) - Nanos{1}));
+  }
 }
 
 TEST(CompiledPlanTest, MessageFateIsPureAndCoversAllFates) {

@@ -264,13 +264,5 @@ TEST(EngineTest, RunBeforeIsStrictAndLeavesClockAtLastEvent) {
   EXPECT_TRUE(e.empty());
 }
 
-TEST(EngineTest, AdvanceToNeverRewinds) {
-  Engine e;
-  e.advance_to(Nanos{50});
-  EXPECT_EQ(e.now(), Nanos{50});
-  e.advance_to(Nanos{10});
-  EXPECT_EQ(e.now(), Nanos{50});
-}
-
 }  // namespace
 }  // namespace sds::sim

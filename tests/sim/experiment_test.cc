@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
+#include "telemetry/span_tracer.h"
+
 namespace sds::sim {
 namespace {
 
@@ -45,6 +49,22 @@ TEST(ExperimentTest, FlatConnectionCapEnforced) {
   config.num_stages = 2500;
   config.max_cycles = 1;
   EXPECT_TRUE(run_experiment(config).is_ok());
+}
+
+TEST(ExperimentTest, LeafWithoutStagesClosesItsCollectAtOnce) {
+  // Three aggregators or peers over two stages: one of them owns no
+  // stage, and the cycle must not wait for a reply that never comes.
+  for (const bool coordinated : {false, true}) {
+    ExperimentConfig config = quick(2);
+    (coordinated ? config.coordinated_peers : config.num_aggregators) = 3;
+    config.max_cycles = 5;
+    const auto result = run_experiment(config);
+    ASSERT_TRUE(result.is_ok()) << result.status();
+    EXPECT_EQ(result->cycles, 5u) << coordinated;
+    for (const double limit : result->final_data_limits) {
+      EXPECT_GT(limit, 0.0) << coordinated;  // both stages got a rule
+    }
+  }
 }
 
 TEST(ExperimentTest, HierAllowsBeyondFlatCap) {
@@ -408,6 +428,37 @@ TEST(CoordinatedSimTest, MatchesFlatAllocations) {
   EXPECT_NEAR(coord_result->final_data_limit_sum,
               flat_result->final_data_limit_sum,
               flat_result->final_data_limit_sum * 0.02);
+}
+
+TEST(CoordinatedSimTest, FillsCollectWireCounters) {
+  // Peers collect on the tree's stage legs, so every accepted stage
+  // report is counted as a full frame.
+  ExperimentConfig config = quick(120);
+  config.coordinated_peers = 3;
+  const auto result = run_experiment(config);
+  ASSERT_TRUE(result.is_ok()) << result.status();
+  EXPECT_EQ(result->collect_frames_full, result->cycles * 120);
+  EXPECT_EQ(result->collect_frames_delta, 0u);
+  EXPECT_EQ(result->collect_wire_bytes, result->collect_wire_bytes_full);
+  EXPECT_GT(result->collect_wire_bytes, 0u);
+}
+
+TEST(CoordinatedSimTest, PeerHopSpansLandOnNamedTracks) {
+  telemetry::SpanTracer tracer;
+  ExperimentConfig config = quick(120);
+  config.coordinated_peers = 3;
+  config.tracer = &tracer;
+  const auto result = run_experiment(config);
+  ASSERT_TRUE(result.is_ok()) << result.status();
+  const auto names = tracer.track_names();
+  std::uint64_t hops = 0;
+  for (const auto& span : tracer.snapshot()) {
+    if (span.name != "agg.collect") continue;
+    ++hops;
+    ASSERT_TRUE(names.contains(span.track)) << span.track;
+    EXPECT_EQ(names.at(span.track), "peer " + std::to_string(span.track - 1));
+  }
+  EXPECT_EQ(hops, result->cycles * 3);  // one local collect per peer
 }
 
 TEST(CoordinatedSimTest, FasterThanHierarchyAtScale) {

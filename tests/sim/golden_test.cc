@@ -140,8 +140,8 @@ ExperimentConfig faulted(std::size_t aggregators) {
 }
 
 /// Coordinated peers with a cycle period longer than a cycle: every
-/// cycle ends on the drained-queue join and the next one starts from
-/// the deferred-start path.
+/// cycle closes on its last peer's enforce and the next one waits for
+/// the period.
 ExperimentConfig coordinated_periodic() {
   ExperimentConfig config = topology(120, 0, 0, 3, 42);
   config.cycle_period = millis(3);
@@ -195,6 +195,7 @@ void expect_golden(const ExperimentConfig& config, std::uint64_t want) {
 constexpr std::uint64_t kFlat120Seed42 = 0x8cae02770d681904ull;
 constexpr std::uint64_t kHier250Seed42 = 0x79068e8b6e852de3ull;
 constexpr std::uint64_t kDeep200Seed42 = 0x5dc1442a3e042775ull;
+constexpr std::uint64_t kCoordinated120x3Seed42 = 0x896316b411a502e7ull;
 
 TEST(GoldenTest, Flat120Seed42) {
   expect_golden(topology(120, 0, 0, 0, 42), kFlat120Seed42);
@@ -221,11 +222,11 @@ TEST(GoldenTest, Deep200x8x2Seed7) {
 }
 
 TEST(GoldenTest, Coordinated120x3Seed42) {
-  expect_golden(topology(120, 0, 0, 3, 42), 0xa60635a5165f0dd2ull);
+  expect_golden(topology(120, 0, 0, 3, 42), kCoordinated120x3Seed42);
 }
 
 TEST(GoldenTest, Coordinated120x3Seed7) {
-  expect_golden(topology(120, 0, 0, 3, 7), 0xb2475f59c953cb4cull);
+  expect_golden(topology(120, 0, 0, 3, 7), 0xec94f6e41facb7adull);
 }
 
 TEST(GoldenTest, FlatDeltaCollect) {
@@ -253,7 +254,7 @@ TEST(GoldenTest, FaultPlanHier60x3) {
 }
 
 TEST(GoldenTest, CoordinatedWithCyclePeriod) {
-  expect_golden(coordinated_periodic(), 0x85fcfeea637cae40ull);
+  expect_golden(coordinated_periodic(), 0x84f00b61b5f74379ull);
 }
 
 TEST(GoldenTest, FlatSampledOverDuration) {
@@ -267,7 +268,7 @@ TEST(GoldenTest, HierWithCyclePeriodSampled) {
 }
 
 TEST(GoldenTest, CoordinatedWithCyclePeriodSampled) {
-  expect_golden(sampled(coordinated_periodic()), 0x03764b7d40e51461ull);
+  expect_golden(sampled(coordinated_periodic()), 0x017ce9cd78de56e4ull);
 }
 
 /// The hierarchical 250x7 run with its per-node policies changed: serial
@@ -332,17 +333,26 @@ TEST(GoldenTest, FlatFullRecomputeMatchesIncremental) {
   expect_golden(config, kFlat120Seed42);
 }
 
-TEST(GoldenTest, TelemetrySinksLeaveHashUnchanged) {
+/// Run `config` with a tracer, a metrics registry and a flight recorder
+/// attached: none of them may change the hash.
+void expect_golden_with_sinks(ExperimentConfig config, std::uint64_t want) {
   telemetry::SpanTracer tracer;
   telemetry::MetricsRegistry metrics;
   telemetry::FlightRecorder flight;
-  ExperimentConfig config = topology(250, 7, 0, 0, 42);
   config.tracer = &tracer;
   config.metrics = &metrics;
   config.flight = &flight;
-  expect_golden(config, kHier250Seed42);
+  expect_golden(config, want);
   EXPECT_GT(tracer.recorded(), 0u);
   EXPECT_GT(flight.recorded(), 0u);
+}
+
+TEST(GoldenTest, TelemetrySinksLeaveHashUnchanged) {
+  expect_golden_with_sinks(topology(250, 7, 0, 0, 42), kHier250Seed42);
+}
+
+TEST(GoldenTest, TelemetrySinksLeaveCoordinatedHashUnchanged) {
+  expect_golden_with_sinks(topology(120, 0, 0, 3, 42), kCoordinated120x3Seed42);
 }
 
 }  // namespace

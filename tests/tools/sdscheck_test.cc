@@ -74,6 +74,16 @@ TEST(SdscheckLockGraph, UnrankedMutexWithoutMarkerIsReported) {
   EXPECT_NE(r.output.find("Unranked::mu_"), std::string::npos) << r.output;
 }
 
+TEST(SdscheckLockGraph, FinalClassesKeepTheirNames) {
+  const RunResult r = check("lockgraph", "lock_final");
+  EXPECT_EQ(r.exit_code, 1) << r.output;
+  EXPECT_NE(r.output.find("final_classes.h:22:"), std::string::npos)
+      << r.output;
+  EXPECT_NE(r.output.find("'Unranked::mu_'"), std::string::npos) << r.output;
+  EXPECT_EQ(r.output.find("'Ranked::mu_'"), std::string::npos) << r.output;
+  EXPECT_EQ(r.output.find("final::"), std::string::npos) << r.output;
+}
+
 TEST(SdscheckLockGraph, RankInversionIsReportedAtTheAcquisition) {
   const RunResult r = check("lockgraph", "lock_inversion");
   EXPECT_EQ(r.exit_code, 1) << r.output;

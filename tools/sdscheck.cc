@@ -755,7 +755,8 @@ void scan_concurrency(const std::string& display_path,
           if (collecting_name) {
             const std::string ident = read_ident(code, c);
             if (!ident.empty()) {
-              candidate = ident;
+              // `class X final : ...` is still class X.
+              if (ident != "final") candidate = ident;
               c += ident.size() - 1;
               continue;
             }
