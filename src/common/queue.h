@@ -14,10 +14,11 @@
 // signalling and reports whether a consumer sleeps; the producer then
 // calls wake() once, after the burst.
 //
-// Items live in a Ring of blocks. pop_all() hands the consumer the whole
-// chain and takes back the blocks of the consumer's previous batch, so a
-// queue that carries the same bursts every cycle stops allocating once
-// it has held its largest backlog.
+// Items live in a Ring of blocks. pop_all() takes back the blocks of the
+// consumer's previous batch before it waits, then hands the consumer the
+// whole chain, so a queue that carries the same bursts every cycle stops
+// allocating once it has held its largest backlog, and a burst that
+// arrives after the consumer handled the last one reuses its blocks.
 #pragma once
 
 #include <optional>
@@ -120,12 +121,15 @@ class Queue {
   /// Blocking batch pop: waits like pop(), then hands every queued item
   /// to `out` (whose previous contents are discarded) in FIFO order,
   /// so a consumer takes the lock once per batch instead of once per
-  /// item. `out`'s emptied blocks go back to the queue, so passing the
-  /// same ring every time keeps the pair at its high-water mark. Returns
-  /// false once closed and drained.
+  /// item. `out`'s emptied blocks go back to the queue before the wait,
+  /// so pushes made while the consumer sleeps refill them: passing the
+  /// same ring every time keeps the pair at the most items it held at
+  /// once, not at a batch plus a backlog. Returns false once closed and
+  /// drained.
   bool pop_all(Ring<T>& out) SDS_EXCLUDES(mu_) {
     out.clear();
     MutexLock lock(mu_);
+    items_.take_free_blocks(out);
     wait_not_empty(lock);
     if (items_.empty()) return false;
     items_.hand_over(out);

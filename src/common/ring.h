@@ -83,8 +83,13 @@ class Ring {
   /// to the ring that needs them for the next pushes.
   void hand_over(Ring& to) noexcept {
     swap_chains(to);
-    while (to.free_ != nullptr) {
-      release(std::exchange(to.free_, to.free_->next));
+    take_free_blocks(to);
+  }
+
+  /// Moves `from`'s free blocks onto this ring's free list.
+  void take_free_blocks(Ring& from) noexcept {
+    while (from.free_ != nullptr) {
+      release(std::exchange(from.free_, from.free_->next));
     }
   }
 

@@ -1,6 +1,7 @@
 #include "rpc/gather.h"
 
 #include <algorithm>
+#include <array>
 
 namespace sds::rpc {
 
@@ -11,48 +12,55 @@ std::optional<std::uint64_t> peek_cycle_id(const wire::Frame& frame) {
   return cycle;
 }
 
-std::vector<Gather::Slot> Gather::sorted_index(
-    const std::vector<ConnId>& expected) {
-  std::vector<Slot> index;
+Gather::Roster::Roster(std::vector<ConnId> expected_peers)
+    : expected(std::move(expected_peers)) {
   index.reserve(expected.size());
   for (std::size_t i = 0; i < expected.size(); ++i) {
     index.push_back({expected[i], static_cast<std::uint32_t>(i)});
   }
   std::sort(index.begin(), index.end(),
             [](const Slot& a, const Slot& b) { return a.conn < b.conn; });
-  return index;
+  for (std::size_t i = 0; i < index.size(); ++i) {
+    if (i == 0 || index[i].conn != index[i - 1].conn) ++peers;
+  }
 }
 
 Gather::Gather(proto::MessageType type, std::optional<std::uint64_t> cycle,
                std::vector<ConnId> expected,
                std::shared_ptr<const GatherTelemetry> telemetry,
                std::optional<proto::MessageType> alt_type)
+    : Gather(std::make_shared<const Roster>(std::move(expected)), type, cycle,
+             std::move(telemetry), alt_type) {}
+
+Gather::Gather(std::shared_ptr<const Roster> roster, proto::MessageType type,
+               std::optional<std::uint64_t> cycle,
+               std::shared_ptr<const GatherTelemetry> telemetry,
+               std::optional<proto::MessageType> alt_type)
     : type_(type),
       alt_type_(alt_type),
       cycle_(cycle),
-      expected_(std::move(expected)),
-      index_(sorted_index(expected_)),
+      roster_(std::move(roster)),
       telemetry_(std::move(telemetry)),
-      state_(expected_.size(), PeerState::kWaiting) {
-  for (std::size_t i = 0; i < index_.size(); ++i) {
-    if (i == 0 || index_[i].conn != index_[i - 1].conn) ++pending_;
-  }
+      state_(roster_->expected.size(), PeerState::kWaiting),
+      pending_(roster_->peers) {
   replies_.reserve(pending_);
   if (telemetry_ != nullptr) {
     telemetry_->gathers_started->add(1);
-    telemetry_->fanout->record(static_cast<std::int64_t>(expected_.size()));
+    telemetry_->fanout->record(
+        static_cast<std::int64_t>(roster_->expected.size()));
   }
 }
 
 bool Gather::settle(ConnId conn, PeerState state) {
+  const std::vector<Roster::Slot>& index = roster_->index;
   auto it = std::lower_bound(
-      index_.begin(), index_.end(), conn,
-      [](const Slot& slot, ConnId c) { return slot.conn < c; });
-  if (it == index_.end() || it->conn != conn ||
+      index.begin(), index.end(), conn,
+      [](const Roster::Slot& slot, ConnId c) { return slot.conn < c; });
+  if (it == index.end() || it->conn != conn ||
       state_[it->entry] != PeerState::kWaiting) {
     return false;
   }
-  for (; it != index_.end() && it->conn == conn; ++it) {
+  for (; it != index.end() && it->conn == conn; ++it) {
     state_[it->entry] = state;
   }
   --pending_;
@@ -66,24 +74,48 @@ void Gather::wake_if_done() {
   if (telemetry_ != nullptr) telemetry_->wakeups->add(1);
 }
 
-bool Gather::offer(ConnId conn, wire::Frame& frame) {
+bool Gather::accepts(const wire::Frame& frame) const {
   if (frame.type != static_cast<std::uint16_t>(type_) &&
       !(alt_type_.has_value() &&
         frame.type == static_cast<std::uint16_t>(*alt_type_))) {
     return false;
   }
-  if (cycle_.has_value()) {
-    const auto cycle = peek_cycle_id(frame);
-    if (!cycle || *cycle != *cycle_) return false;
-  }
-  MutexLock lock(mu_);
-  if (!settle(conn, PeerState::kReplied)) return false;
-  replies_.push_back({conn, std::move(frame)});
-  ++reply_count_;
-  if (telemetry_ != nullptr) telemetry_->replies->add(1);
-  wake_if_done();
-  return true;
+  if (!cycle_.has_value()) return true;
+  const auto cycle = peek_cycle_id(frame);
+  return cycle && *cycle == *cycle_;
 }
+
+bool Gather::offer(ConnId conn, wire::Frame& frame) {
+  transport::Delivery one{conn, std::move(frame)};
+  bool taken = false;
+  const bool took = offer_run({&one, 1}, {&taken, 1}) == 1;
+  if (!took) frame = std::move(one.frame);
+  return took;
+}
+
+// sdscheck: hotpath — routing a run: replies_ was reserved for every peer
+// up front, and refused frames are compacted in place
+std::size_t Gather::offer_run(std::span<transport::Delivery> run,
+                              std::span<bool> taken) {
+  std::size_t took = 0;
+  MutexLock lock(mu_);
+  for (std::size_t i = 0; i < run.size(); ++i) {
+    transport::Delivery& delivery = run[i];
+    if (taken[i] || !accepts(delivery.frame) ||
+        !settle(delivery.conn, PeerState::kReplied)) {
+      continue;
+    }
+    replies_.push_back(std::move(delivery));
+    taken[i] = true;
+    ++took;
+  }
+  if (took == 0) return 0;
+  reply_count_ += took;
+  if (telemetry_ != nullptr) telemetry_->replies->add(took);
+  wake_if_done();
+  return took;
+}
+// sdscheck: end-hotpath
 
 void Gather::fail(ConnId conn) {
   MutexLock lock(mu_);
@@ -94,7 +126,7 @@ void Gather::fail(ConnId conn) {
 }
 
 Status Gather::wait_for(Nanos timeout) {
-  return wait_for(timeout, expected_.size());
+  return wait_for(timeout, roster_->expected.size());
 }
 
 Status Gather::wait_for(Nanos timeout, std::size_t quorum) {
@@ -146,8 +178,8 @@ std::size_t Gather::missing() const {
 
 std::vector<bool> Gather::reply_bitmap() const {
   MutexLock lock(mu_);
-  std::vector<bool> bitmap(expected_.size(), false);
-  for (std::size_t i = 0; i < expected_.size(); ++i) {
+  std::vector<bool> bitmap(state_.size(), false);
+  for (std::size_t i = 0; i < state_.size(); ++i) {
     bitmap[i] = state_[i] == PeerState::kReplied;
   }
   return bitmap;
@@ -177,6 +209,29 @@ void Dispatcher::bind_telemetry(telemetry::MetricsRegistry& registry,
   telemetry_ = std::move(instruments);
 }
 
+std::shared_ptr<const Gather::Roster> Dispatcher::roster_for(
+    proto::MessageType type, std::vector<ConnId>&& expected) {
+  {
+    MutexLock lock(mu_);
+    for (const KeptRoster& kept : rosters_) {
+      if (kept.type == type && kept.roster->expected == expected) {
+        return kept.roster;
+      }
+    }
+  }
+  auto roster = std::make_shared<const Gather::Roster>(std::move(expected));
+  MutexLock lock(mu_);
+  const auto it =
+      std::find_if(rosters_.begin(), rosters_.end(),
+                   [type](const KeptRoster& kept) { return kept.type == type; });
+  if (it == rosters_.end()) {
+    rosters_.push_back({type, roster});
+  } else {
+    it->roster = roster;
+  }
+  return roster;
+}
+
 std::shared_ptr<Gather> Dispatcher::start_gather(
     proto::MessageType type, std::optional<std::uint64_t> cycle,
     std::vector<ConnId> expected, std::optional<proto::MessageType> alt_type) {
@@ -185,8 +240,9 @@ std::shared_ptr<Gather> Dispatcher::start_gather(
     MutexLock lock(mu_);
     telemetry = telemetry_;
   }
-  auto gather = std::make_shared<Gather>(type, cycle, std::move(expected),
-                                         std::move(telemetry), alt_type);
+  auto gather = std::make_shared<Gather>(
+      roster_for(type, std::move(expected)), type, cycle,
+      std::move(telemetry), alt_type);
   MutexLock lock(mu_);
   gathers_.push_back(gather);
   return gather;
@@ -198,17 +254,33 @@ void Dispatcher::finish(const std::shared_ptr<Gather>& gather) {
                  gathers_.end());
 }
 
-void Dispatcher::on_frame(ConnId conn, wire::Frame frame) {
-  FallbackHandler fallback;
-  {
-    MutexLock lock(mu_);
-    for (const auto& gather : gathers_) {
-      if (gather->offer(conn, frame)) return;
+// sdscheck: hotpath
+void Dispatcher::on_frames(std::span<transport::Delivery> run) {
+  while (!run.empty()) {
+    const auto slice = run.first(std::min(run.size(), transport::kSendChunk));
+    run = run.subspan(slice.size());
+    std::array<bool, transport::kSendChunk> taken{};
+    std::size_t took = 0;
+    FallbackHandler fallback;
+    {
+      MutexLock lock(mu_);
+      for (const auto& gather : gathers_) {
+        took += gather->offer_run(slice, taken);
+        if (took == slice.size()) break;
+      }
+      if (took < slice.size()) fallback = fallback_;
     }
-    fallback = fallback_;
+    if (!fallback) continue;
+    std::size_t kept = 0;
+    for (std::size_t i = 0; i < slice.size(); ++i) {
+      if (taken[i]) continue;
+      if (kept != i) slice[kept] = std::move(slice[i]);
+      ++kept;
+    }
+    fallback(slice.first(kept));
   }
-  if (fallback) fallback(conn, std::move(frame));
 }
+// sdscheck: end-hotpath
 
 void Dispatcher::on_conn_event(ConnId conn, transport::ConnEvent event) {
   if (event != transport::ConnEvent::kClosed) return;

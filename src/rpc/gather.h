@@ -5,18 +5,21 @@
 // phase is the same with EnforceBatch / EnforceAck. Replies are matched by
 // (message type, cycle id, sender connection).
 //
-// The Dispatcher sits in the endpoint's frame handler: frames matching a
-// registered Gather are routed to it; everything else falls through to the
-// default handler (registrations, heartbeats, ...).
+// The Dispatcher sits in the endpoint's frame handler and routes a run
+// of frames at a time: under one registry lock it offers the run to each
+// registered Gather, which takes its own replies under one gather lock
+// and wakes its waiter at most once per run (and once per wave); the
+// frames no gather took reach the fallback handler (registrations,
+// heartbeats, ...) as one run, in arrival order.
 //
 // All gatherable message bodies start with a varint cycle id, so the
 // dispatcher can route without fully decoding payloads.
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "common/clock.h"
@@ -41,7 +44,7 @@ struct GatherTelemetry {
   telemetry::HistogramMetric* fanout = nullptr;
   /// wait_for() latency per gather wave.
   telemetry::HistogramMetric* wave_latency_ns = nullptr;
-  /// Waiter wake-ups that offer() and fail() issued: at most one per
+  /// Waiter wake-ups that offer_run() and fail() issued: at most one per
   /// wait, so a full or quorum wave that ends in time counts one.
   telemetry::Counter* wakeups = nullptr;
 };
@@ -52,27 +55,57 @@ struct GatherTelemetry {
 /// One in-flight gather: waits for a reply of `type` from each expected
 /// connection, optionally filtered by cycle id.
 ///
-/// The expected peers form a slot table built once at construction: a
-/// sorted (ConnId, slot) index and one state byte per expected entry,
-/// so matching a reply is a binary search and allocates nothing. A
-/// ConnId listed more than once is one peer: it is waited for once, and
-/// its reply marks every entry that names it.
+/// The expected peers form a slot table: a sorted (ConnId, slot) index,
+/// the Roster, and one state byte per expected entry, so matching a reply
+/// is a binary search and allocates nothing. A ConnId listed more than
+/// once is one peer: it is waited for once, and its reply marks every
+/// entry that names it.
 class Gather {
  public:
-  struct Reply {
-    ConnId conn;
-    wire::Frame frame;
+  using Reply = transport::Delivery;
+
+  /// The expected peers of a wave and their index sorted by ConnId. The
+  /// Dispatcher hands the last roster of each reply type to the next wave
+  /// that expects the same peers in the same order, so a steady roster is
+  /// sorted once rather than once per wave.
+  struct Roster {
+    struct Slot {
+      ConnId conn;
+      std::uint32_t entry;  // position in `expected`
+    };
+
+    explicit Roster(std::vector<ConnId> expected_peers);
+
+    const std::vector<ConnId> expected;
+    /// `expected` sorted by ConnId (entries of one ConnId adjacent).
+    std::vector<Slot> index;
+    /// Distinct ConnIds.
+    std::size_t peers = 0;
   };
 
   Gather(proto::MessageType type, std::optional<std::uint64_t> cycle,
          std::vector<ConnId> expected,
          std::shared_ptr<const GatherTelemetry> telemetry = nullptr,
          std::optional<proto::MessageType> alt_type = std::nullopt);
+  /// A gather over a roster shared with earlier waves.
+  Gather(std::shared_ptr<const Roster> roster, proto::MessageType type,
+         std::optional<std::uint64_t> cycle,
+         std::shared_ptr<const GatherTelemetry> telemetry = nullptr,
+         std::optional<proto::MessageType> alt_type = std::nullopt);
 
-  /// Offer a frame; returns true if this gather consumed it, in which
-  /// case `frame` was moved into the reply set. A refused frame (wrong
-  /// type or cycle, unknown peer, duplicate reply) is left untouched.
+  /// Offer a frame as a one-frame run; returns true if this gather
+  /// consumed it, in which case `frame` was moved into the reply set. A
+  /// refused frame (wrong type or cycle, unknown peer, duplicate reply)
+  /// is left whole.
   bool offer(ConnId conn, wire::Frame& frame) SDS_EXCLUDES(mu_);
+
+  /// Offer a run under one lock: takes each frame of `run` whose
+  /// `taken` flag is clear and that this gather accepts, moving it into
+  /// the reply set and setting its flag. Refused frames are left
+  /// untouched. Wakes the waiter at most once, after the whole run.
+  /// Returns how many frames it took.
+  std::size_t offer_run(std::span<transport::Delivery> run,
+                        std::span<bool> taken) SDS_EXCLUDES(mu_);
 
   /// Mark a connection as failed (e.g. it closed); the gather no longer
   /// waits for it.
@@ -84,8 +117,8 @@ class Gather {
   /// stay available — reply_count()/reply_bitmap() say which peers
   /// answered and take_replies() hands over the partial set.
   ///
-  /// One waiter at a time: offer() and fail() signal the single thread
-  /// blocked here, and only once its wait can end.
+  /// One waiter at a time: offer_run() and fail() signal the single
+  /// thread blocked here, and only once its wait can end.
   [[nodiscard]] Status wait_for(Nanos timeout) SDS_EXCLUDES(mu_);
 
   /// Quorum variant: additionally returns OK (without waiting further)
@@ -104,7 +137,7 @@ class Gather {
   /// The expected peers, in construction order — the index space of
   /// reply_bitmap().
   [[nodiscard]] const std::vector<ConnId>& expected() const {
-    return expected_;
+    return roster_->expected;
   }
   /// Replies received so far (valid before and after take_replies()).
   [[nodiscard]] std::size_t reply_count() const SDS_EXCLUDES(mu_);
@@ -116,13 +149,8 @@ class Gather {
  private:
   enum class PeerState : std::uint8_t { kWaiting, kReplied, kFailed };
 
-  /// One expected_ entry in the sorted index.
-  struct Slot {
-    ConnId conn;
-    std::uint32_t entry;
-  };
-
-  static std::vector<Slot> sorted_index(const std::vector<ConnId>& expected);
+  /// Right reply type and cycle (the checks that need no lock).
+  [[nodiscard]] bool accepts(const wire::Frame& frame) const;
   /// Moves every entry of waiting peer `conn` to `state`; false when
   /// `conn` is not expected or no longer waiting.
   bool settle(ConnId conn, PeerState state) SDS_REQUIRES(mu_);
@@ -139,14 +167,12 @@ class Gather {
   /// with the varint cycle id peek_cycle_id() routes on.
   const std::optional<proto::MessageType> alt_type_;
   const std::optional<std::uint64_t> cycle_;
-  const std::vector<ConnId> expected_;
-  /// expected_ sorted by ConnId (entries of one ConnId adjacent).
-  const std::vector<Slot> index_;
+  const std::shared_ptr<const Roster> roster_;
   const std::shared_ptr<const GatherTelemetry> telemetry_;
 
   mutable Mutex mu_{LockRank::kRpcGather};
   CondVar cv_;
-  /// One per expected_ entry.
+  /// One per expected entry.
   std::vector<PeerState> state_ SDS_GUARDED_BY(mu_);
   /// Distinct peers that neither replied nor failed.
   std::size_t pending_ SDS_GUARDED_BY(mu_) = 0;
@@ -163,7 +189,9 @@ class Gather {
 /// Routes inbound frames to active gathers; thread-safe.
 class Dispatcher {
  public:
-  using FallbackHandler = std::function<void(ConnId, wire::Frame)>;
+  /// Receives, as one run in arrival order, the frames of a run that no
+  /// gather took: at most kSendChunk frames per call.
+  using FallbackHandler = transport::FrameHandler;
 
   void set_fallback(FallbackHandler handler) SDS_EXCLUDES(mu_);
 
@@ -187,20 +215,36 @@ class Dispatcher {
   /// Remove a finished gather.
   void finish(const std::shared_ptr<Gather>& gather) SDS_EXCLUDES(mu_);
 
-  /// Endpoint frame handler: route to a gather or the fallback. Frames
-  /// are offered under the registry lock (kRpcDispatcher ranks below
-  /// kRpcGather); a frame no gather takes reaches the fallback whole.
-  void on_frame(ConnId conn, wire::Frame frame) SDS_EXCLUDES(mu_);
+  /// Endpoint frame handler: route a run to the gathers and the
+  /// fallback, kSendChunk frames at a time. The run is offered to each
+  /// gather under one registry lock (kRpcDispatcher ranks below
+  /// kRpcGather); the frames no gather takes are moved, in arrival order,
+  /// to the front of `run` and reach the fallback whole, as one run,
+  /// after the lock is released.
+  void on_frames(std::span<transport::Delivery> run) SDS_EXCLUDES(mu_);
 
   /// Endpoint connection handler: fail pending gathers on closed conns.
   void on_conn_event(ConnId conn, transport::ConnEvent event)
       SDS_EXCLUDES(mu_);
 
  private:
+  /// The last roster started per primary reply type.
+  struct KeptRoster {
+    proto::MessageType type;
+    std::shared_ptr<const Gather::Roster> roster;
+  };
+
+  /// The kept roster for `type` when it expects exactly `expected`,
+  /// else a new one, kept in its place.
+  std::shared_ptr<const Gather::Roster> roster_for(
+      proto::MessageType type, std::vector<ConnId>&& expected)
+      SDS_EXCLUDES(mu_);
+
   Mutex mu_{LockRank::kRpcDispatcher};
   std::vector<std::shared_ptr<Gather>> gathers_ SDS_GUARDED_BY(mu_);
   FallbackHandler fallback_ SDS_GUARDED_BY(mu_);
   std::shared_ptr<const GatherTelemetry> telemetry_ SDS_GUARDED_BY(mu_);
+  std::vector<KeptRoster> rosters_ SDS_GUARDED_BY(mu_);
 };
 
 /// Convenience: send `request` on `conn` and wait for a single reply of

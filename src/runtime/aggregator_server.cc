@@ -29,11 +29,11 @@ Status AggregatorServer::start(
     endpoint_ = std::move(endpoint).value();
     started_ = true;
   }
-  dispatcher_.set_fallback(
-      [this](ConnId conn, wire::Frame frame) { on_frame(conn, std::move(frame)); });
-  endpoint_->set_frame_handler([this](ConnId conn, wire::Frame frame) {
-    dispatcher_.on_frame(conn, std::move(frame));
+  dispatcher_.set_fallback([this](std::span<transport::Delivery> run) {
+    for (auto& [conn, frame] : run) on_frame(conn, frame);
   });
+  endpoint_->set_frame_handler(
+      [this](std::span<transport::Delivery> run) { dispatcher_.on_frames(run); });
   endpoint_->set_conn_handler([this](ConnId conn, transport::ConnEvent event) {
     dispatcher_.on_conn_event(conn, event);
     if (event == transport::ConnEvent::kClosed) on_conn_closed(conn);
@@ -63,7 +63,7 @@ Status AggregatorServer::start(
   return endpoint_->send(upstream.value(), proto::to_frame(intro));
 }
 
-void AggregatorServer::on_frame(ConnId conn, wire::Frame frame) {
+void AggregatorServer::on_frame(ConnId conn, const wire::Frame& frame) {
   using proto::MessageType;
   switch (static_cast<MessageType>(frame.type)) {
     case MessageType::kRegisterRequest: {

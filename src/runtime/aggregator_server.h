@@ -82,7 +82,8 @@ class AggregatorServer {
   void shutdown();
 
  private:
-  void on_frame(ConnId conn, wire::Frame frame);
+  /// Handles one frame no gather took (a loop over the fallback run).
+  void on_frame(ConnId conn, const wire::Frame& frame);
   void on_conn_closed(ConnId conn);
   void serve_collect(proto::CollectRequest request,
                      std::optional<wire::TraceContext> ctx);

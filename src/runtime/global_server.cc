@@ -29,11 +29,11 @@ Status GlobalControllerServer::start(
   auto endpoint = network_->bind(address_, endpoint_options);
   if (!endpoint.is_ok()) return endpoint.status();
   endpoint_ = std::move(endpoint).value();
-  dispatcher_.set_fallback(
-      [this](ConnId conn, wire::Frame frame) { on_frame(conn, std::move(frame)); });
-  endpoint_->set_frame_handler([this](ConnId conn, wire::Frame frame) {
-    dispatcher_.on_frame(conn, std::move(frame));
+  dispatcher_.set_fallback([this](std::span<transport::Delivery> run) {
+    for (auto& [conn, frame] : run) on_frame(conn, frame);
   });
+  endpoint_->set_frame_handler(
+      [this](std::span<transport::Delivery> run) { dispatcher_.on_frames(run); });
   endpoint_->set_conn_handler([this](ConnId conn, transport::ConnEvent event) {
     dispatcher_.on_conn_event(conn, event);
     if (event == transport::ConnEvent::kClosed) on_conn_closed(conn);
@@ -57,7 +57,7 @@ Status GlobalControllerServer::start(
   return Status::ok();
 }
 
-void GlobalControllerServer::on_frame(ConnId conn, wire::Frame frame) {
+void GlobalControllerServer::on_frame(ConnId conn, const wire::Frame& frame) {
   using proto::MessageType;
   switch (static_cast<MessageType>(frame.type)) {
     case MessageType::kRegisterRequest: {

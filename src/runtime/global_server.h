@@ -139,7 +139,8 @@ class GlobalControllerServer {
     std::vector<std::pair<ConnId, ControllerId>> aggregators;
   };
 
-  void on_frame(ConnId conn, wire::Frame frame);
+  /// Handles one frame no gather took (a loop over the fallback run).
+  void on_frame(ConnId conn, const wire::Frame& frame);
   void on_conn_closed(ConnId conn);
   /// Record collect/compute/enforce spans for a finished cycle.
   void trace_cycle(std::uint64_t cycle, const core::PhaseBreakdown& breakdown);

@@ -4,6 +4,15 @@
 
 namespace sds::runtime {
 
+namespace {
+
+const char* hop_name(telemetry::SpanPhase phase) {
+  return phase == telemetry::SpanPhase::kCollect ? "stage.collect"
+                                                 : "stage.enforce";
+}
+
+}  // namespace
+
 StageHost::StageHost(transport::Network& network, std::string address,
                      StageHostOptions options, const Clock& clock)
     : network_(&network),
@@ -23,10 +32,9 @@ Status StageHost::start(const transport::EndpointOptions& endpoint_options) {
     started_ = true;
   }
   dispatcher_.set_fallback(
-      [this](ConnId conn, wire::Frame frame) { on_frame(conn, std::move(frame)); });
-  endpoint_->set_frame_handler([this](ConnId conn, wire::Frame frame) {
-    dispatcher_.on_frame(conn, std::move(frame));
-  });
+      [this](std::span<transport::Delivery> run) { on_frames(run); });
+  endpoint_->set_frame_handler(
+      [this](std::span<transport::Delivery> run) { dispatcher_.on_frames(run); });
   endpoint_->set_conn_handler([this](ConnId conn, transport::ConnEvent event) {
     dispatcher_.on_conn_event(conn, event);
     on_conn_event(conn, event);
@@ -128,24 +136,36 @@ Status StageHost::register_stage(std::size_t index, std::size_t address_index) {
   return Status::ok();
 }
 
-void StageHost::on_frame(ConnId conn, wire::Frame frame) {
-  using proto::MessageType;
+// sdscheck: hotpath — answering a run: replies and hops go into the
+// kept arrays, rule batches decode into enforce_batch_
+void StageHost::on_frames(std::span<transport::Delivery> run) {
   MutexLock lock(mu_);
+  const Nanos begin = clock_->now();
+  const std::uint64_t answered = collects_answered_;
+  for (auto& [conn, frame] : run) answer(conn, frame, begin);
+  if (collects_counter_ != nullptr && collects_answered_ > answered) {
+    collects_counter_->add(collects_answered_ - answered);
+  }
+  record_hops(begin);
+  (void)endpoint_->send_all({replies_.data(), num_replies_});
+  num_replies_ = 0;
+}
+
+void StageHost::answer(ConnId conn, wire::Frame& frame, Nanos begin) {
+  using proto::MessageType;
   const auto it = by_conn_.find(conn);
   if (it == by_conn_.end()) return;
   Slot& slot = *slots_[it->second];
+  auto& [reply_conn, reply] = replies_[num_replies_];
 
   switch (static_cast<MessageType>(frame.type)) {
     case MessageType::kCollectRequest: {
       const auto request = proto::from_frame<proto::CollectRequest>(frame);
       if (!request.is_ok()) return;
-      const Nanos begin = clock_->now();
       const auto metrics = slot.stage.collect(request->cycle_id, begin);
       ++collects_answered_;
-      if (collects_counter_ != nullptr) collects_counter_->add();
       const auto reply_ctx =
-          trace_hop(frame, "stage.collect", request->cycle_id, begin,
-                    telemetry::SpanPhase::kCollect);
+          note_hop(frame, request->cycle_id, telemetry::SpanPhase::kCollect);
       if (options_.delta_metrics) {
         // Full refresh on the first report, on a cycle-sequence gap, and
         // periodically (staggered by stage id so refreshes spread over
@@ -158,22 +178,21 @@ void StageHost::on_frame(ConnId conn, wire::Frame frame) {
                     options_.delta_refresh ==
                 0;
         if (refresh) {
-          (void)endpoint_->send(conn, proto::to_frame(metrics, reply_ctx));
+          reply = proto::to_frame(metrics, reply_ctx);
         } else {
           const proto::StageMetricsDelta delta = proto::StageMetricsDelta::make(
               slot.last_report, metrics, /*include_stage_id=*/false);
-          (void)endpoint_->send(conn, proto::to_frame(delta, reply_ctx));
+          reply = proto::to_frame(delta, reply_ctx);
         }
         slot.last_report = metrics;
         slot.has_report = true;
       } else {
-        (void)endpoint_->send(conn, proto::to_frame(metrics, reply_ctx));
+        reply = proto::to_frame(metrics, reply_ctx);
       }
       break;
     }
     case MessageType::kEnforceBatch: {
       if (!proto::from_frame(frame, enforce_batch_).is_ok()) return;
-      const Nanos begin = clock_->now();
       proto::EnforceAck ack;
       ack.cycle_id = enforce_batch_.cycle_id;
       for (const auto& rule : enforce_batch_.rules) {
@@ -182,10 +201,9 @@ void StageHost::on_frame(ConnId conn, wire::Frame frame) {
           ++ack.applied;
         }
       }
-      const auto reply_ctx =
-          trace_hop(frame, "stage.enforce", enforce_batch_.cycle_id, begin,
-                    telemetry::SpanPhase::kEnforce);
-      (void)endpoint_->send(conn, proto::to_frame(ack, reply_ctx));
+      const auto reply_ctx = note_hop(frame, enforce_batch_.cycle_id,
+                                      telemetry::SpanPhase::kEnforce);
+      reply = proto::to_frame(ack, reply_ctx);
       break;
     }
     case MessageType::kHeartbeat: {
@@ -193,41 +211,65 @@ void StageHost::on_frame(ConnId conn, wire::Frame frame) {
       if (!hb.is_ok()) return;
       proto::HeartbeatAck ack;
       ack.seq = hb->seq;
-      (void)endpoint_->send(conn, proto::to_frame(ack));
+      reply = proto::to_frame(ack);
       break;
     }
     default:
       SDS_LOG(DEBUG) << address_ << ": unexpected frame type " << frame.type;
+      return;
   }
+  reply_conn = conn;
+  ++num_replies_;
 }
 
-std::optional<wire::TraceContext> StageHost::trace_hop(
-    const wire::Frame& frame, const char* name, std::uint64_t cycle,
-    Nanos begin, telemetry::SpanPhase phase) {
+std::optional<wire::TraceContext> StageHost::note_hop(
+    const wire::Frame& frame, std::uint64_t cycle,
+    telemetry::SpanPhase phase) {
   if (!frame.trace.has_value()) return std::nullopt;
   const wire::TraceContext& ctx = *frame.trace;
-  const std::uint32_t track = telemetry_.track();
-  telemetry::Span span;
-  span.name = name;
-  span.category = "component";
-  span.track = track;
-  span.cycle = cycle;
-  span.start = begin;
-  span.duration = clock_->now() - begin;
   HopSpanId& id = hop_span_ids_[static_cast<std::size_t>(phase)];
   if (id.span_id == 0 || id.trace_id != ctx.trace_id) {
-    id = {ctx.trace_id, telemetry::derive_span_id(ctx.trace_id, track, name)};
+    id = {ctx.trace_id,
+          telemetry::derive_span_id(ctx.trace_id, telemetry_.track(),
+                                    hop_name(phase))};
   }
-  span.trace_id = ctx.trace_id;
-  span.span_id = id.span_id;
-  span.parent_span = ctx.parent_span;
-  span.phase = phase;
-  telemetry_.flight().record(span);
-  if (telemetry_.tracer() != nullptr) telemetry_.tracer()->record(span);
+  // A run's frames almost always share one hop, so search from its end.
+  std::size_t i = num_hops_;
+  while (i > 0 && !(hops_[i - 1].phase == phase &&
+                    hops_[i - 1].trace_id == ctx.trace_id &&
+                    hops_[i - 1].parent_span == ctx.parent_span)) {
+    --i;
+  }
+  if (i == 0) {
+    hops_[num_hops_++] = {phase, cycle, ctx.trace_id, ctx.parent_span,
+                          id.span_id};
+  }
   // Replies carry our span as the parent so the controller side can link
   // any follow-on work to this hop.
-  return wire::TraceContext{ctx.trace_id, span.span_id};
+  return wire::TraceContext{ctx.trace_id, id.span_id};
 }
+
+void StageHost::record_hops(Nanos begin) {
+  if (num_hops_ == 0) return;
+  telemetry::Span span;
+  span.category = "component";
+  span.track = telemetry_.track();
+  span.start = begin;
+  span.duration = clock_->now() - begin;
+  for (std::size_t i = 0; i < num_hops_; ++i) {
+    const Hop& hop = hops_[i];
+    span.name = hop_name(hop.phase);
+    span.cycle = hop.cycle;
+    span.trace_id = hop.trace_id;
+    span.span_id = hop.span_id;
+    span.parent_span = hop.parent_span;
+    span.phase = hop.phase;
+    telemetry_.flight().record(span);
+    if (telemetry_.tracer() != nullptr) telemetry_.tracer()->record(span);
+  }
+  num_hops_ = 0;
+}
+// sdscheck: end-hotpath
 
 void StageHost::on_conn_event(ConnId conn, transport::ConnEvent event) {
   if (event != transport::ConnEvent::kClosed) return;

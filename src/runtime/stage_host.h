@@ -4,14 +4,20 @@
 // controller-side connection counts are realistic.
 //
 // Reactive: collect requests and enforce batches are answered inline on
-// the endpoint's delivery thread. Supports failover: when a stage's
-// controller connection drops, the host re-dials the next address in its
+// the endpoint's delivery thread, a run of frames at a time (see
+// transport.h): one lock acquisition, one clock read for the run's start
+// and one send_all of the run's replies per run, and one hop span and
+// flight record per (phase, trace, parent) in the run rather than one
+// per stage. Every reply still carries its hop's span id as the parent
+// of its trace context. Supports failover: when a stage's controller
+// connection drops, the host re-dials the next address in its
 // controller list and re-registers (paper §VI dependability).
 #pragma once
 
 #include <array>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <thread>
 #include <unordered_map>
@@ -95,15 +101,21 @@ class StageHost {
   void shutdown();
 
  private:
-  void on_frame(ConnId conn, wire::Frame frame);
-  /// Record a hop span for a traced inbound frame and return the trace
-  /// context to echo on the reply (nullopt when the frame was untraced).
-  /// Each phase has one hop name.
-  std::optional<wire::TraceContext> trace_hop(const wire::Frame& frame,
-                                              const char* name,
-                                              std::uint64_t cycle, Nanos begin,
-                                              telemetry::SpanPhase phase)
+  /// Answers a run of at most kSendChunk frames (the Dispatcher's
+  /// fallback, which hands over no more at once).
+  void on_frames(std::span<transport::Delivery> run);
+  /// Answers one frame of the run into `replies_`.
+  void answer(ConnId conn, wire::Frame& frame, Nanos begin)
       SDS_REQUIRES(mu_);
+  /// Notes the hop of a traced inbound frame in the run's hop list and
+  /// returns the trace context to echo on the reply (nullopt when the
+  /// frame was untraced). Each phase has one hop name.
+  std::optional<wire::TraceContext> note_hop(const wire::Frame& frame,
+                                             std::uint64_t cycle,
+                                             telemetry::SpanPhase phase)
+      SDS_REQUIRES(mu_);
+  /// Records one span per noted hop, from the run's start to now.
+  void record_hops(Nanos begin) SDS_REQUIRES(mu_);
   void on_conn_event(ConnId conn, transport::ConnEvent event);
   Status register_stage(std::size_t index, std::size_t address_index);
 
@@ -144,6 +156,20 @@ class StageHost {
   std::array<HopSpanId,
              static_cast<std::size_t>(telemetry::SpanPhase::kEnforce) + 1>
       hop_span_ids_ SDS_GUARDED_BY(mu_);
+  /// The hops of the run being answered: one per (phase, trace, parent).
+  struct Hop {
+    telemetry::SpanPhase phase;
+    std::uint64_t cycle;
+    std::uint64_t trace_id;
+    std::uint64_t parent_span;
+    std::uint64_t span_id;
+  };
+  std::array<Hop, transport::kSendChunk> hops_ SDS_GUARDED_BY(mu_);
+  std::size_t num_hops_ SDS_GUARDED_BY(mu_) = 0;
+  /// The run's replies, sent with one send_all when the run is answered.
+  std::array<std::pair<ConnId, wire::Frame>, transport::kSendChunk> replies_
+      SDS_GUARDED_BY(mu_);
+  std::size_t num_replies_ SDS_GUARDED_BY(mu_) = 0;
   std::uint64_t collects_answered_ SDS_GUARDED_BY(mu_) = 0;
   bool started_ SDS_GUARDED_BY(mu_) = false;
   bool shutting_down_ SDS_GUARDED_BY(mu_) = false;

@@ -64,7 +64,10 @@ struct FlightRecord {
 
 class FlightRecorder {
  public:
-  static constexpr std::size_t kDefaultCapacity = 4096;
+  /// 1,024 records (80 KiB) hold about 13 cycles of a 2,500-stage host's
+  /// hops, one record per run of frames, and some 170 of a global
+  /// controller's phase spans.
+  static constexpr std::size_t kDefaultCapacity = 1024;
 
   /// The full ring is allocated up front; record() never allocates.
   explicit FlightRecorder(std::size_t capacity = kDefaultCapacity);

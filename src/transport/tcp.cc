@@ -403,6 +403,7 @@ class TcpEndpoint final : public Endpoint {
           handle_conn_event(ev);
         }
       }
+      end_run();
       run_pending();
     }
     // Teardown: close all connections without callbacks (endpoint gone).
@@ -533,8 +534,9 @@ class TcpEndpoint final : public Endpoint {
     }
   }
 
-  /// Delivers every complete frame in `data`; returns the bytes consumed,
-  /// or nullopt if a protocol error closed the connection.
+  /// Adds every complete frame in `data` to the run, handing the run to
+  /// the frame handler each time it fills; returns the bytes consumed, or
+  /// nullopt if a protocol error closed the connection.
   std::optional<std::size_t> parse_frames(Conn& conn,
                                           std::span<const std::uint8_t> data) {
     std::size_t offset = 0;
@@ -557,26 +559,48 @@ class TcpEndpoint final : public Endpoint {
         close_conn(conn, /*notify=*/true);
         return std::nullopt;
       }
-      wire::Frame frame;
-      frame.type = header->type;
+      counters_.on_receive(total);
+      offset += total;
+      if (!loop_frame_handler_) continue;
+      Delivery& slot = run_[run_size_];
+      slot.conn = conn.id;
+      slot.frame.type = header->type;
+      slot.frame.trace.reset();
       if (traced) {
         // The 16-byte trace trailer sits after the message payload; strip
         // it so the message decoders see exactly the payload bytes.
-        frame.trace = wire::TraceContext::decode_trailer(
+        slot.frame.trace = wire::TraceContext::decode_trailer(
             body.last(wire::kTraceContextSize));
         body = body.first(body.size() - wire::kTraceContextSize);
       }
-      frame.payload.assign(body.begin(), body.end());
-      counters_.on_receive(total);
+      slot.frame.payload.assign(body.begin(), body.end());
       // Handlers may send or close, but both only queue work for
       // run_pending(), so `conn` and `data` stay valid here.
-      if (loop_frame_handler_) loop_frame_handler_(conn.id, std::move(frame));
-      offset += total;
+      if (++run_size_ == kSendChunk) end_run();
     }
     return offset;
   }
 
+  /// Hands the run built so far to the frame handler. The slots keep
+  /// their payload buffers for the next run, except large ones: like a
+  /// connection's tail, the run holds no read memory beyond kReadChunk
+  /// per frame between runs.
+  void end_run() {
+    if (run_size_ == 0) return;
+    counters_.on_delivery();
+    const std::size_t size = run_size_;
+    run_size_ = 0;
+    loop_frame_handler_({run_.data(), size});
+    for (std::size_t i = 0; i < size; ++i) {
+      wire::Bytes& payload = run_[i].frame.payload;
+      if (payload.capacity() > kReadChunk) wire::Bytes().swap(payload);
+    }
+  }
+
+  /// Frames that arrived before a connection event reach the handler
+  /// before it.
   void notify_conn(ConnId id, ConnEvent event) {
+    end_run();
     if (loop_conn_handler_) loop_conn_handler_(id, event);
   }
 
@@ -684,6 +708,11 @@ class TcpEndpoint final : public Endpoint {
   std::unique_ptr<std::uint8_t[]> scratch_;   // sdscheck: allow(unguarded-field)
   FrameHandler loop_frame_handler_;           // sdscheck: allow(unguarded-field)
   ConnEventHandler loop_conn_handler_;        // sdscheck: allow(unguarded-field)
+  /// The run being built for the frame handler: it ends when it holds
+  /// kSendChunk frames, before a connection event and at the end of each
+  /// loop turn.
+  std::array<Delivery, kSendChunk> run_;      // sdscheck: allow(unguarded-field)
+  std::size_t run_size_ = 0;                  // sdscheck: allow(unguarded-field)
   std::vector<Outgoing> pending_sends_;       // sdscheck: allow(unguarded-field)
   std::vector<Command> pending_commands_;     // sdscheck: allow(unguarded-field)
   std::vector<ConnId> dirty_;                 // sdscheck: allow(unguarded-field)

@@ -16,6 +16,7 @@ void bind_endpoint_metrics(telemetry::MetricsRegistry& registry,
   auto* current = registry.gauge("sds_transport_connections_current", labels);
   auto* handoffs = registry.gauge("sds_transport_handoffs", labels);
   auto* wakeups = registry.gauge("sds_transport_wakeups", labels);
+  auto* deliveries = registry.gauge("sds_transport_deliveries", labels);
   registry.add_collector([=](telemetry::MetricsRegistry&) {
     const Counters c = endpoint->counters();
     bytes_sent->set(static_cast<double>(c.bytes_sent));
@@ -28,6 +29,7 @@ void bind_endpoint_metrics(telemetry::MetricsRegistry& registry,
     current->set(static_cast<double>(c.current_connections));
     handoffs->set(static_cast<double>(c.handoffs));
     wakeups->set(static_cast<double>(c.wakeups));
+    deliveries->set(static_cast<double>(c.deliveries));
   });
 }
 

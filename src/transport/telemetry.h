@@ -1,8 +1,8 @@
 // Bridges a transport::Endpoint's counter block into a
 // telemetry::MetricsRegistry: a snapshot-time collector publishes the
-// cumulative byte/message/connection and hand-off/wake-up counters as
-// `sds_transport_*{component=...}` gauges, so Tables II–IV bandwidth
-// accounting and live dashboards read the exact same counters.
+// cumulative byte/message/connection, hand-off/wake-up and delivered-run
+// counters as `sds_transport_*{component=...}` gauges, so Tables II–IV
+// bandwidth accounting and live dashboards read the exact same counters.
 #pragma once
 
 #include <string>

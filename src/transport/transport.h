@@ -10,18 +10,35 @@
 // the burst calls are thread-safe and non-blocking (frames are queued
 // for transmission).
 //
+// Frames reach the handler a run at a time: one call receives a span of
+// at most kSendChunk deliveries, built in one buffer the endpoint keeps,
+// so a handler can pay its locks, clock reads and reply sends once per
+// run instead of once per frame.
+//   - Runs keep arrival order: frames of one connection arrive in the
+//     order they were sent, within a run and from one run to the next.
+//   - A connection event ends the run being built. The frames that
+//     arrived before a `kOpened` or `kClosed` are delivered, as a run,
+//     before the event; those after it start a new run. So every frame a
+//     connection carried reaches the handler before its `kClosed`.
+//   - A run ends early at the end of what the delivery thread took at
+//     once (in-process, one popped batch; over TCP, one event-loop
+//     turn), so a run never waits for more frames.
+//   - The handler may move frames out of the span; the endpoint reuses
+//     the buffer once the call returns.
+//
 // Frames cross to another thread a chunk at a time. The in-process
 // transport stages each send in a per-peer outbox under the endpoint's
 // lock and hands the outbox to the peer's queue in chunks of at most
 // kSendChunk frames, counting them first, so a frame is in its sender's
 // and its receiver's counters before the receiver can deliver it:
 //   - A handler's send on its own endpoint's delivery thread waits in
-//     the outbox until a chunk fills or the handler's batch of
-//     deliveries returns. Full chunks are handed over without a signal;
-//     each peer that slept through one is woken once, when the batch
-//     returns. TCP likewise writes a handler's sends when its batch
-//     returns. A handler must therefore not block waiting for a reply
-//     to its own send.
+//     the outbox until a chunk fills or the delivery thread's batch
+//     returns, so it leaves no earlier than the handler's run returns.
+//     Full chunks are handed over without a signal; each peer that
+//     slept through one is woken once, when the batch returns. TCP
+//     likewise writes a handler's sends when its loop turn ends. A
+//     handler must therefore not block waiting for a reply to its own
+//     send.
 //   - A send from any other thread hands over the peer's outbox together
 //     with its own frame, so it lands behind every frame staged before
 //     it, and wakes a sleeping peer at once. In-process, `send_all` and
@@ -48,6 +65,7 @@
 #include <memory>
 #include <span>
 #include <string>
+#include <type_traits>
 #include <utility>
 
 #include "common/status.h"
@@ -73,6 +91,8 @@ struct Counters {
   /// Signals to a sleeping thread: in-process, wakes of a peer's queue;
   /// over TCP, eventfd writes.
   std::uint64_t wakeups = 0;
+  /// Runs of frames handed to the frame handler (one call each).
+  std::uint64_t deliveries = 0;
 };
 
 /// The most frames a transport hands to another thread at once (one
@@ -82,7 +102,42 @@ inline constexpr std::size_t kSendChunk = 64;
 
 enum class ConnEvent { kOpened, kClosed };
 
-using FrameHandler = std::function<void(ConnId, wire::Frame)>;
+/// One frame handed to a frame handler: the connection it arrived on and
+/// the frame, which the handler may move out.
+struct Delivery {
+  ConnId conn;
+  wire::Frame frame;
+};
+
+/// Receives a run of deliveries (see the threading contract above);
+/// empty until a callable is installed.
+class FrameHandler {
+ public:
+  FrameHandler() = default;
+
+  template <typename F>
+    requires std::is_invocable_v<F&, std::span<Delivery>>
+  FrameHandler(F fn)  // NOLINT(google-explicit-constructor)
+      : run_(std::move(fn)) {}
+
+  /// A callable over one (ConnId, Frame) runs once per frame of each
+  /// run, in order. sdsbench's transport probe (sdsbench/src/layers.cc)
+  /// installs such callables; everything under src/ takes runs.
+  template <typename F>
+    requires(std::is_invocable_v<F&, ConnId, wire::Frame> &&
+             !std::is_invocable_v<F&, std::span<Delivery>>)
+  FrameHandler(F fn)  // NOLINT(google-explicit-constructor)
+      : run_([fn = std::move(fn)](std::span<Delivery> run) mutable {
+          for (Delivery& d : run) fn(d.conn, std::move(d.frame));
+        }) {}
+
+  explicit operator bool() const { return static_cast<bool>(run_); }
+  void operator()(std::span<Delivery> run) const { run_(run); }
+
+ private:
+  std::function<void(std::span<Delivery>)> run_;
+};
+
 using ConnEventHandler = std::function<void(ConnId, ConnEvent)>;
 
 struct EndpointOptions {
@@ -160,8 +215,8 @@ class Network {
 };
 
 /// Thread-safe counter block shared by transport implementations. The
-/// sent side, the received side and the connection counts sit on their
-/// own cache lines: in-process, a sender counts a chunk on its own sent
+/// sent side, the received side, the connection counts and the delivered
+/// runs sit on their own cache lines: in-process, a sender counts a chunk on its own sent
 /// side and on the peer's received side, so the threads that send from
 /// an endpoint and the threads that send to it never share a line.
 class CounterBlock {
@@ -176,6 +231,9 @@ class CounterBlock {
   }
   void on_handoff() { sent_.handoffs.fetch_add(1, std::memory_order_relaxed); }
   void on_wakeup() { sent_.wakeups.fetch_add(1, std::memory_order_relaxed); }
+  void on_delivery() {
+    delivered_.runs.fetch_add(1, std::memory_order_relaxed);
+  }
   void on_accept() {
     conns_.accepted.fetch_add(1, std::memory_order_relaxed);
     conns_.current.fetch_add(1, std::memory_order_relaxed);
@@ -199,6 +257,7 @@ class CounterBlock {
     c.current_connections = conns_.current.load(std::memory_order_relaxed);
     c.handoffs = sent_.handoffs.load(std::memory_order_relaxed);
     c.wakeups = sent_.wakeups.load(std::memory_order_relaxed);
+    c.deliveries = delivered_.runs.load(std::memory_order_relaxed);
     return c;
   }
 
@@ -219,9 +278,14 @@ class CounterBlock {
     std::atomic<std::uint64_t> rejected{0};
     std::atomic<std::uint64_t> current{0};
   };
+  /// Written only by the endpoint's own delivery thread.
+  struct alignas(64) Delivered {
+    std::atomic<std::uint64_t> runs{0};
+  };
   Sent sent_;
   Received received_;
   Conns conns_;
+  Delivered delivered_;
 };
 
 }  // namespace sds::transport

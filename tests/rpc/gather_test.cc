@@ -6,7 +6,10 @@
 #include <cstdlib>
 #include <future>
 #include <new>
+#include <span>
 #include <thread>
+#include <utility>
+#include <vector>
 
 #include "rpc/broadcast.h"
 #include "telemetry/metrics.h"
@@ -43,6 +46,12 @@ wire::Frame metrics_frame(std::uint64_t cycle, StageId stage) {
 /// Offers a fresh frame; a refused one is dropped.
 bool offer(Gather& gather, ConnId conn, wire::Frame frame) {
   return gather.offer(conn, frame);
+}
+
+/// Routes one frame through the dispatcher as a one-frame run.
+void deliver(Dispatcher& dispatcher, ConnId conn, wire::Frame frame) {
+  transport::Delivery run[] = {{conn, std::move(frame)}};
+  dispatcher.on_frames(run);
 }
 
 std::vector<ConnId> conn_range(std::size_t n) {
@@ -244,7 +253,7 @@ struct InstrumentedGather {
   /// Routes replies [from, to) through the dispatcher.
   void feed(std::size_t from, std::size_t to) {
     for (std::size_t i = from; i < to; ++i) {
-      dispatcher.on_frame(gather->expected()[i], std::move(frames[i]));
+      deliver(dispatcher, gather->expected()[i], std::move(frames[i]));
     }
   }
 
@@ -303,7 +312,7 @@ TEST(GatherWakeTest, AcceptedRepliesAllocateNothing) {
   InstrumentedGather rig;
   // A refused frame takes both locks once, so builds with lock-order
   // checks size their per-thread held-lock stack before the count.
-  rig.dispatcher.on_frame(ConnId{1}, metrics_frame(7, StageId{0}));
+  deliver(rig.dispatcher, ConnId{1}, metrics_frame(7, StageId{0}));
   const std::size_t before = t_allocations;
   rig.feed(0, InstrumentedGather::kPeers);
   EXPECT_EQ(t_allocations - before, 0u);
@@ -318,7 +327,7 @@ TEST(DispatcherTest, RoutesToMatchingGather) {
 
   auto gather = dispatcher.start_gather(proto::MessageType::kStageMetrics, 7,
                                         {ConnId{1}});
-  dispatcher.on_frame(ConnId{1}, metrics_frame(7, StageId{1}));
+  deliver(dispatcher, ConnId{1}, metrics_frame(7, StageId{1}));
   EXPECT_TRUE(gather->wait_for(Nanos{0}).is_ok());
   EXPECT_EQ(fallback_hits.load(), 0);
 }
@@ -334,10 +343,10 @@ TEST(DispatcherTest, UnmatchedFramesFallThrough) {
   const wire::Frame wrong_cycle = metrics_frame(8, StageId{1});
   const wire::Frame wrong_conn = metrics_frame(7, StageId{2});
   const wire::Frame reply = metrics_frame(7, StageId{1});
-  dispatcher.on_frame(ConnId{1}, wrong_cycle);
-  dispatcher.on_frame(ConnId{2}, wrong_conn);
-  dispatcher.on_frame(ConnId{1}, reply);
-  dispatcher.on_frame(ConnId{1}, reply);  // duplicate
+  deliver(dispatcher, ConnId{1}, wrong_cycle);
+  deliver(dispatcher, ConnId{2}, wrong_conn);
+  deliver(dispatcher, ConnId{1}, reply);
+  deliver(dispatcher, ConnId{1}, reply);  // duplicate
   // The fallback gets each refused frame whole.
   ASSERT_EQ(fallen.size(), 3u);
   EXPECT_EQ(fallen[0].payload, wrong_cycle.payload);
@@ -354,7 +363,7 @@ TEST(DispatcherTest, FinishedGatherNoLongerRoutes) {
   auto gather = dispatcher.start_gather(proto::MessageType::kStageMetrics, 7,
                                         {ConnId{1}});
   dispatcher.finish(gather);
-  dispatcher.on_frame(ConnId{1}, metrics_frame(7, StageId{1}));
+  deliver(dispatcher, ConnId{1}, metrics_frame(7, StageId{1}));
   EXPECT_EQ(fallback_hits.load(), 1);
 }
 
@@ -364,6 +373,118 @@ TEST(DispatcherTest, ConnClosedFailsPendingGathers) {
                                         {ConnId{1}});
   dispatcher.on_conn_event(ConnId{1}, transport::ConnEvent::kClosed);
   EXPECT_EQ(gather->wait_for(Nanos{0}).code(), StatusCode::kUnavailable);
+}
+
+wire::Frame ack_frame(std::uint64_t cycle) {
+  proto::EnforceAck ack;
+  ack.cycle_id = cycle;
+  ack.applied = 1;
+  return proto::to_frame(ack);
+}
+
+wire::Frame heartbeat_frame(std::uint64_t seq) {
+  proto::Heartbeat hb;
+  hb.seq = seq;
+  return proto::to_frame(hb);
+}
+
+TEST(DispatcherRunTest, OneRunFeedsTwoGathersAndTheFallbackInOrder) {
+  telemetry::MetricsRegistry registry;
+  Dispatcher dispatcher;
+  dispatcher.bind_telemetry(registry);
+  std::vector<std::pair<ConnId, std::uint16_t>> fallen;
+  std::size_t fallback_runs = 0;
+  dispatcher.set_fallback([&](std::span<transport::Delivery> run) {
+    ++fallback_runs;
+    for (const auto& [conn, frame] : run) fallen.emplace_back(conn, frame.type);
+  });
+  auto collect = dispatcher.start_gather(proto::MessageType::kStageMetrics, 7,
+                                         {ConnId{1}, ConnId{2}});
+  auto enforce = dispatcher.start_gather(proto::MessageType::kEnforceAck, 7,
+                                         {ConnId{1}, ConnId{2}});
+  std::vector<transport::Delivery> run;
+  run.push_back({ConnId{1}, metrics_frame(7, StageId{1})});
+  run.push_back({ConnId{1}, heartbeat_frame(1)});          // fallback
+  run.push_back({ConnId{2}, ack_frame(7)});
+  run.push_back({ConnId{9}, metrics_frame(7, StageId{9})});  // unknown peer
+  run.push_back({ConnId{2}, metrics_frame(7, StageId{2})});
+  run.push_back({ConnId{1}, metrics_frame(8, StageId{1})});  // wrong cycle
+  run.push_back({ConnId{1}, ack_frame(7)});
+  // The collect gather's waiter is blocked when the run arrives.
+  std::thread router([&] {
+    std::this_thread::sleep_for(kLetWaiterBlock);
+    dispatcher.on_frames(run);
+  });
+  EXPECT_TRUE(collect->wait_for(seconds(10)).is_ok());
+  router.join();
+  EXPECT_TRUE(enforce->wait_for(Nanos{0}).is_ok());
+
+  const auto collected = collect->take_replies();
+  ASSERT_EQ(collected.size(), 2u);
+  EXPECT_EQ(collected[0].conn, ConnId{1});
+  EXPECT_EQ(collected[1].conn, ConnId{2});
+  const auto acked = enforce->take_replies();
+  ASSERT_EQ(acked.size(), 2u);
+  EXPECT_EQ(acked[0].conn, ConnId{2});
+  EXPECT_EQ(acked[1].conn, ConnId{1});
+  const auto metrics = static_cast<std::uint16_t>(proto::MessageType::kStageMetrics);
+  EXPECT_EQ(fallback_runs, 1u);
+  EXPECT_EQ(fallen, (std::vector<std::pair<ConnId, std::uint16_t>>{
+                        {ConnId{1}, static_cast<std::uint16_t>(
+                                        proto::MessageType::kHeartbeat)},
+                        {ConnId{9}, metrics},
+                        {ConnId{1}, metrics}}));
+  // Only the collect wave had a waiter, and it was woken once.
+  EXPECT_EQ(registry.counter("sds_rpc_gather_wakeups_total")->value(), 1u);
+  dispatcher.finish(collect);
+  dispatcher.finish(enforce);
+}
+
+TEST(DispatcherRosterTest, AnUnchangedRosterIsSortedOnce) {
+  Dispatcher dispatcher;
+  const std::vector<ConnId> roster = {ConnId{5}, ConnId{3}, ConnId{9}};
+  auto first = dispatcher.start_gather(proto::MessageType::kStageMetrics, 1,
+                                       roster);
+  dispatcher.finish(first);
+  auto second = dispatcher.start_gather(proto::MessageType::kStageMetrics, 2,
+                                        roster);
+  // The same expected list of the same type shares the first wave's
+  // roster; another type sorts its own.
+  EXPECT_EQ(second->expected().data(), first->expected().data());
+  auto acks = dispatcher.start_gather(proto::MessageType::kEnforceAck, 2,
+                                      roster);
+  EXPECT_NE(acks->expected().data(), first->expected().data());
+  EXPECT_EQ(acks->expected(), roster);
+  dispatcher.finish(second);
+  dispatcher.finish(acks);
+}
+
+TEST(DispatcherRosterTest, AStageThatReRegisteredIsMatchedOnItsNewConn) {
+  Dispatcher dispatcher;
+  auto first = dispatcher.start_gather(proto::MessageType::kStageMetrics, 1,
+                                       {ConnId{1}, ConnId{2}, ConnId{3}});
+  deliver(dispatcher, ConnId{1}, metrics_frame(1, StageId{1}));
+  deliver(dispatcher, ConnId{2}, metrics_frame(1, StageId{2}));
+  deliver(dispatcher, ConnId{3}, metrics_frame(1, StageId{3}));
+  EXPECT_TRUE(first->wait_for(Nanos{0}).is_ok());
+  dispatcher.finish(first);
+
+  // Stage 2 re-registered between the waves: its new ConnId is 7.
+  auto second = dispatcher.start_gather(proto::MessageType::kStageMetrics, 2,
+                                        {ConnId{1}, ConnId{7}, ConnId{3}});
+  EXPECT_NE(second->expected().data(), first->expected().data());
+  std::vector<ConnId> fallen;
+  dispatcher.set_fallback([&](std::span<transport::Delivery> run) {
+    for (const auto& delivery : run) fallen.push_back(delivery.conn);
+  });
+  deliver(dispatcher, ConnId{2}, metrics_frame(2, StageId{2}));  // old conn
+  deliver(dispatcher, ConnId{7}, metrics_frame(2, StageId{2}));
+  deliver(dispatcher, ConnId{1}, metrics_frame(2, StageId{1}));
+  deliver(dispatcher, ConnId{3}, metrics_frame(2, StageId{3}));
+  EXPECT_TRUE(second->wait_for(Nanos{0}).is_ok());
+  EXPECT_EQ(second->reply_bitmap(), (std::vector<bool>{true, true, true}));
+  EXPECT_EQ(fallen, (std::vector<ConnId>{ConnId{2}}));
+  dispatcher.finish(second);
 }
 
 TEST(RpcCallTest, RoundTripOverInProc) {
@@ -382,8 +503,8 @@ TEST(RpcCallTest, RoundTripOverInProc) {
   });
 
   Dispatcher dispatcher;
-  client->set_frame_handler([&](ConnId conn, wire::Frame frame) {
-    dispatcher.on_frame(conn, std::move(frame));
+  client->set_frame_handler([&](std::span<transport::Delivery> run) {
+    dispatcher.on_frames(run);
   });
 
   const ConnId conn = client->connect("server").value();
@@ -403,8 +524,8 @@ TEST(RpcCallTest, TimesOutWithoutReply) {
   server->set_frame_handler([](ConnId, wire::Frame) { /* never reply */ });
 
   Dispatcher dispatcher;
-  client->set_frame_handler([&](ConnId conn, wire::Frame frame) {
-    dispatcher.on_frame(conn, std::move(frame));
+  client->set_frame_handler([&](std::span<transport::Delivery> run) {
+    dispatcher.on_frames(run);
   });
 
   const ConnId conn = client->connect("server").value();
@@ -429,8 +550,8 @@ TEST(GatherCountersTest, WaveIsCountedWhenItsWaitReturns) {
     (void)hosts->send(conn, metrics_frame(request->cycle_id, StageId{1}));
   });
   Dispatcher dispatcher;
-  controller->set_frame_handler([&](ConnId conn, wire::Frame frame) {
-    dispatcher.on_frame(conn, std::move(frame));
+  controller->set_frame_handler([&](std::span<transport::Delivery> run) {
+    dispatcher.on_frames(run);
   });
   constexpr std::size_t kStages = 200;
   std::vector<ConnId> conns;

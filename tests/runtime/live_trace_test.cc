@@ -112,6 +112,58 @@ TEST(LiveTraceTest, FlatRuntimeStitchesStageHops) {
   global.shutdown();
 }
 
+TEST(LiveTraceTest, StageHostRecordsHopsPerRunNotPerStage) {
+  telemetry::SpanTracer tracer;
+  transport::InProcNetwork net;
+  GlobalServerOptions gopts;
+  gopts.core.budgets = {4000.0, 400.0};
+  gopts.telemetry.enabled = true;
+  gopts.telemetry.tracer = &tracer;
+  gopts.telemetry.track = 0;
+  GlobalControllerServer global(net, "global", gopts);
+  ASSERT_TRUE(global.start().is_ok());
+  StageHostOptions hopts;
+  hopts.controller_addresses = {"global"};
+  hopts.telemetry.enabled = true;
+  hopts.telemetry.tracer = &tracer;
+  hopts.telemetry.track = 1;
+  StageHost host(net, "host0", hopts);
+  ASSERT_TRUE(host.start().is_ok());
+  for (std::uint32_t i = 0; i < 100; ++i) {
+    ASSERT_TRUE(host.add_stage({StageId{i}, NodeId{i}, JobId{0}, "n"},
+                               workload::constant(1000),
+                               workload::constant(100))
+                    .is_ok());
+  }
+  ASSERT_TRUE(host.register_all().is_ok());
+  constexpr std::uint64_t kCycles = 5;
+  const std::uint64_t records_before = host.flight().recorded();
+  const std::uint64_t answered_before = host.endpoint()->counters().messages_sent;
+  ASSERT_TRUE(global.run_cycles(kCycles).is_ok());
+  // Every collect and enforce frame was answered (the cycles' waves all
+  // completed), but the hops were recorded once per run of frames.
+  const std::uint64_t records = host.flight().recorded() - records_before;
+  const std::uint64_t answered =
+      host.endpoint()->counters().messages_sent - answered_before;
+  EXPECT_EQ(answered, kCycles * 200);
+  EXPECT_GT(records, 0u);
+  EXPECT_LT(records / kCycles, answered / kCycles);
+  // Each cycle still has both hops, parented on the controller's waves.
+  const auto spans = tracer.snapshot();
+  for (const std::uint64_t trace : traces_of(spans, "cycle")) {
+    const Span* collect_hop = find_span(spans, trace, "stage.collect");
+    ASSERT_NE(collect_hop, nullptr) << "trace " << trace;
+    EXPECT_EQ(collect_hop->parent_span, derive_span_id(trace, 0, "collect"));
+    EXPECT_EQ(collect_hop->span_id, derive_span_id(trace, 1, "stage.collect"));
+    const Span* enforce_hop = find_span(spans, trace, "stage.enforce");
+    ASSERT_NE(enforce_hop, nullptr) << "trace " << trace;
+    EXPECT_EQ(enforce_hop->parent_span,
+              derive_span_id(trace, 0, "disseminate"));
+  }
+  host.shutdown();
+  global.shutdown();
+}
+
 TEST(LiveTraceTest, HierRuntimeStitchesThreeComponentsAndServesIntrospection) {
   telemetry::MetricsRegistry registry;
   telemetry::SpanTracer tracer;

@@ -48,20 +48,29 @@ struct SteadyCycle {
   double allocations = -1;  // heap allocations
   double frames = 0;        // frames sent, all endpoints
   double handoffs = 0;      // chunks handed to another thread's queue
+  double deliveries = 0;    // runs handed to a frame handler
 };
 
-/// Frames sent and hand-offs made so far by every endpoint.
-std::pair<std::uint64_t, std::uint64_t> transport_totals(Deployment& d) {
+/// Frames sent, hand-offs made and runs delivered so far, summed over
+/// every endpoint.
+struct TransportTotals {
+  std::uint64_t frames = 0;
+  std::uint64_t handoffs = 0;
+  std::uint64_t deliveries = 0;
+};
+
+TransportTotals transport_totals(Deployment& d) {
   std::vector<transport::Endpoint*> endpoints = {d.global().endpoint()};
   for (auto& agg : d.aggregators()) endpoints.push_back(agg->endpoint());
   for (auto& host : d.stage_hosts()) endpoints.push_back(host->endpoint());
-  std::uint64_t frames = 0;
-  std::uint64_t handoffs = 0;
+  TransportTotals totals;
   for (const transport::Endpoint* endpoint : endpoints) {
-    frames += endpoint->counters().messages_sent;
-    handoffs += endpoint->counters().handoffs;
+    const transport::Counters counters = endpoint->counters();
+    totals.frames += counters.messages_sent;
+    totals.handoffs += counters.handoffs;
+    totals.deliveries += counters.deliveries;
   }
-  return {frames, handoffs};
+  return totals;
 }
 
 SteadyCycle steady_cycle(const DeploymentOptions& options) {
@@ -71,25 +80,36 @@ SteadyCycle steady_cycle(const DeploymentOptions& options) {
   if (!deployment.is_ok()) return {};
   GlobalControllerServer& global = (*deployment)->global();
   EXPECT_TRUE(global.run_cycles(kWarmupCycles).is_ok());
-  const auto [frames_before, handoffs_before] = transport_totals(**deployment);
+  const TransportTotals before_totals = transport_totals(**deployment);
   const std::uint64_t before = g_allocations.load();
   EXPECT_TRUE(global.run_cycles(kCountedCycles).is_ok());
   const std::uint64_t counted = g_allocations.load() - before;
-  const auto [frames_after, handoffs_after] = transport_totals(**deployment);
+  const TransportTotals after_totals = transport_totals(**deployment);
   EXPECT_EQ(global.stats().cycles(), kWarmupCycles + kCountedCycles);
   constexpr double kCycles = kCountedCycles;
+  const auto per_cycle = [&](std::uint64_t TransportTotals::*field) {
+    return static_cast<double>(after_totals.*field - before_totals.*field) /
+           kCycles;
+  };
   return {static_cast<double>(counted) / kCycles,
-          static_cast<double>(frames_after - frames_before) / kCycles,
-          static_cast<double>(handoffs_after - handoffs_before) / kCycles};
+          per_cycle(&TransportTotals::frames),
+          per_cycle(&TransportTotals::handoffs),
+          per_cycle(&TransportTotals::deliveries)};
 }
 
 /// In-process frames cross threads a chunk at a time: at most one
-/// hand-off per 16 frames (a frame at a time made one per frame).
+/// hand-off per 16 frames (a frame at a time made one per frame). They
+/// reach the handlers a run at a time, and a run never spans two popped
+/// batches, so there are no more runs than hand-offs.
 void expect_chunked_handoffs(const SteadyCycle& cycle) {
-  std::printf("  %.1f frames and %.2f hand-offs per steady cycle\n",
-              cycle.frames, cycle.handoffs);
+  std::printf(
+      "  %.1f frames, %.2f hand-offs and %.2f runs delivered per steady "
+      "cycle\n",
+      cycle.frames, cycle.handoffs, cycle.deliveries);
   EXPECT_GT(cycle.frames, 0);
   EXPECT_LE(cycle.handoffs, cycle.frames / 16);
+  EXPECT_GT(cycle.deliveries, 0);
+  EXPECT_LE(cycle.deliveries, cycle.handoffs);
 }
 
 TEST(SteadyAllocTest, HierarchicalCycleAllocatesPerWaveNotPerStage) {

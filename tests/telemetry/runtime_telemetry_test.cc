@@ -210,10 +210,18 @@ TEST(RuntimeTelemetryTest, TransportHandoffGaugesFollowTheCounters) {
   const Labels labels{{"component", "global"}};
   const MetricSample* handoffs = snap.find("sds_transport_handoffs", labels);
   const MetricSample* wakeups = snap.find("sds_transport_wakeups", labels);
+  const MetricSample* deliveries =
+      snap.find("sds_transport_deliveries", labels);
   ASSERT_NE(handoffs, nullptr);
   ASSERT_NE(wakeups, nullptr);
+  ASSERT_NE(deliveries, nullptr);
   EXPECT_EQ(handoffs->value, static_cast<double>(counters.handoffs));
   EXPECT_EQ(wakeups->value, static_cast<double>(counters.wakeups));
+  EXPECT_EQ(deliveries->value, static_cast<double>(counters.deliveries));
+  // The global's delivery thread got each wave's 100 replies in runs.
+  EXPECT_GT(counters.deliveries, registered.deliveries);
+  EXPECT_LE(counters.deliveries - registered.deliveries,
+            counters.messages_received - registered.messages_received);
   // Each cycle's collect and enforce waves of 100 frames leave in two
   // chunks each, not a hand-off per frame.
   EXPECT_EQ(counters.messages_sent - registered.messages_sent, 600u);

@@ -594,5 +594,133 @@ TEST(InProcBurstTest, SendAllSkipsClosedConnections) {
   EXPECT_EQ(b->counters().messages_received, 4u);
 }
 
+// Frames reach the frame handler a run at a time.
+
+TEST(InProcRunTest, RunsKeepPerConnectionOrderUnderTheChunkCap) {
+  constexpr std::uint16_t kConns = 3;
+  constexpr std::uint16_t kFrames = 1000;  // per connection
+  std::mutex mu;
+  std::map<ConnId, std::vector<std::uint16_t>> seen;  // by b's ConnId
+  std::size_t total = 0;
+  std::size_t runs = 0;
+  std::size_t longest = 0;
+  InProcNetwork net;
+  auto a = net.bind("a", {}).value();
+  auto b = net.bind("b", {}).value();
+  b->set_frame_handler([&](std::span<Delivery> run) {
+    std::lock_guard<std::mutex> lock(mu);
+    ++runs;
+    longest = std::max(longest, run.size());
+    for (const auto& [conn, frame] : run) seen[conn].push_back(frame.type);
+    total += run.size();
+  });
+  std::vector<ConnId> conns;
+  for (std::uint16_t c = 0; c < kConns; ++c) {
+    conns.push_back(a->connect("b").value());
+  }
+  // Frame i of every connection in one burst, interleaved, so each run
+  // mixes the connections.
+  std::vector<std::pair<ConnId, wire::Frame>> sends;
+  for (std::uint16_t i = 0; i < kFrames; ++i) {
+    for (const ConnId conn : conns) sends.emplace_back(conn, test_frame(i));
+  }
+  EXPECT_EQ(a->send_all(sends), sends.size());
+  ASSERT_TRUE(eventually([&] {
+    std::lock_guard<std::mutex> lock(mu);
+    return total == std::size_t{kConns} * kFrames;
+  }));
+  std::lock_guard<std::mutex> lock(mu);
+  ASSERT_EQ(seen.size(), kConns);
+  std::vector<std::uint16_t> in_order(kFrames);
+  for (std::uint16_t i = 0; i < kFrames; ++i) in_order[i] = i;
+  for (const auto& [conn, types] : seen) EXPECT_EQ(types, in_order);
+  // Each full chunk of the burst reaches the handler as one run.
+  EXPECT_EQ(longest, kSendChunk);
+  EXPECT_EQ(b->counters().deliveries, runs);
+}
+
+TEST(InProcRunTest, ACloseBetweenTwoFramesEndsTheRunBeforeItIsDelivered) {
+  constexpr int kClosedMark = -1;
+  // One entry per handler call: a run's frame types, or kClosedMark.
+  // Written on b's delivery thread only, read after `done`.
+  std::vector<std::vector<int>> calls;
+  std::promise<void> blocked;
+  std::promise<void> release;
+  std::promise<void> done;
+  InProcNetwork net;
+  auto a = net.bind("a", {}).value();
+  auto b = net.bind("b", {}).value();
+  b->set_frame_handler([&](std::span<Delivery> run) {
+    if (run.front().frame.type == 0) {
+      // The trigger: hold b's delivery thread while a queues the rest,
+      // so b takes it all in one batch.
+      blocked.set_value();
+      release.get_future().wait();
+      return;
+    }
+    std::vector<int> types;
+    for (const auto& delivery : run) types.push_back(delivery.frame.type);
+    calls.push_back(std::move(types));
+    if (calls.back().back() == 4) done.set_value();
+  });
+  b->set_conn_handler([&](ConnId, ConnEvent e) {
+    if (e == ConnEvent::kClosed) calls.push_back({kClosedMark});
+  });
+  const ConnId kept = a->connect("b").value();
+  const ConnId closing = a->connect("b").value();
+  ASSERT_TRUE(a->send(kept, test_frame(0)).is_ok());
+  blocked.get_future().wait();
+  ASSERT_TRUE(a->send(kept, test_frame(1)).is_ok());
+  ASSERT_TRUE(a->send(kept, test_frame(2)).is_ok());
+  a->close(closing);
+  ASSERT_TRUE(a->send(kept, test_frame(3)).is_ok());
+  ASSERT_TRUE(a->send(kept, test_frame(4)).is_ok());
+  release.set_value();
+  ASSERT_EQ(done.get_future().wait_for(10s), std::future_status::ready);
+  EXPECT_EQ(calls, (std::vector<std::vector<int>>{{1, 2}, {kClosedMark}, {3, 4}}));
+}
+
+TEST(InProcRunTest, SendsDuringARunLeaveWhenItReturns) {
+  constexpr std::uint16_t kFrames = 10;
+  Queue<std::uint16_t> replies;
+  std::promise<void> blocked;
+  std::promise<void> release;
+  std::atomic<std::uint64_t> handoffs_in_run{0};
+  std::atomic<std::size_t> longest{0};
+  InProcNetwork net;
+  auto a = net.bind("a", {}).value();
+  auto b = net.bind("b", {}).value();
+  a->set_frame_handler([&](ConnId, wire::Frame f) { replies.push(f.type); });
+  b->set_frame_handler([&](std::span<Delivery> run) {
+    if (run.front().frame.type == 0) {
+      blocked.set_value();
+      release.get_future().wait();
+      return;
+    }
+    longest = std::max(longest.load(), run.size());
+    const std::uint64_t before = b->counters().handoffs;
+    for (auto& [conn, frame] : run) {
+      ASSERT_TRUE(b->send(conn, test_frame(frame.type)).is_ok());
+    }
+    // Nothing has left yet: the replies wait for the run to return.
+    handoffs_in_run += b->counters().handoffs - before;
+  });
+  const ConnId conn = a->connect("b").value();
+  ASSERT_TRUE(a->send(conn, test_frame(0)).is_ok());
+  blocked.get_future().wait();
+  for (std::uint16_t i = 1; i <= kFrames; ++i) {
+    ASSERT_TRUE(a->send(conn, test_frame(i)).is_ok());
+  }
+  release.set_value();
+  for (std::uint16_t i = 1; i <= kFrames; ++i) {
+    const auto reply = replies.pop_for(seconds(10));
+    ASSERT_TRUE(reply.has_value()) << "reply " << i;
+    EXPECT_EQ(*reply, i);
+  }
+  EXPECT_EQ(longest.load(), kFrames);  // one run took them all
+  EXPECT_EQ(handoffs_in_run.load(), 0u);
+  EXPECT_EQ(b->counters().handoffs, 1u);  // the whole run's replies at once
+}
+
 }  // namespace
 }  // namespace sds::transport

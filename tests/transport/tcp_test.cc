@@ -13,6 +13,7 @@
 #include <cerrno>
 #include <chrono>
 #include <map>
+#include <mutex>
 #include <span>
 #include <string>
 #include <thread>
@@ -664,6 +665,154 @@ TEST(TcpTest, SendQueueOverflowClosesOnlyTheStalledConnection) {
   EXPECT_FALSE(closed.try_pop().has_value());
   EXPECT_EQ(server->counters().current_connections, 1u);
   EXPECT_TRUE(stalled.sees_eof(5000ms));
+}
+
+// Frames reach the frame handler a run at a time.
+
+/// A run-recording frame and connection handler: per-connection frame
+/// types, run lengths, and each call in order (a run's frame types, or
+/// kClosedMark for a close).
+struct RunLog {
+  static constexpr int kClosedMark = -1;
+
+  void install(Endpoint& endpoint) {
+    endpoint.set_frame_handler([this](std::span<Delivery> run) {
+      std::lock_guard<std::mutex> lock(mu);
+      ++runs;
+      longest = std::max(longest, run.size());
+      std::vector<int> types;
+      for (const auto& [conn, frame] : run) {
+        by_conn[conn].push_back(frame.type);
+        types.push_back(frame.type);
+      }
+      calls.push_back(std::move(types));
+      frames += run.size();
+    });
+    endpoint.set_conn_handler([this](ConnId, ConnEvent e) {
+      if (e != ConnEvent::kClosed) return;
+      std::lock_guard<std::mutex> lock(mu);
+      calls.push_back({kClosedMark});
+    });
+  }
+
+  std::size_t frames_seen() {
+    std::lock_guard<std::mutex> lock(mu);
+    return frames;
+  }
+
+  std::mutex mu;
+  std::map<ConnId, std::vector<std::uint16_t>> by_conn;
+  std::vector<std::vector<int>> calls;
+  std::size_t frames = 0;
+  std::size_t runs = 0;
+  std::size_t longest = 0;
+};
+
+/// The wire images of frames of types 0..count-1, back to back.
+wire::Bytes numbered_stream(std::uint16_t count) {
+  wire::Bytes stream;
+  for (std::uint16_t i = 0; i < count; ++i) {
+    const wire::Bytes bytes = wire_image(test_frame(i));
+    stream.insert(stream.end(), bytes.begin(), bytes.end());
+  }
+  return stream;
+}
+
+TEST(TcpRunTest, RunsKeepPerConnectionOrderUnderTheChunkCapThroughASplitStream) {
+  constexpr std::uint16_t kFrames = 1500;  // per connection
+  RunLog log;  // declared first: the server's loop writes to it
+  TcpNetwork net;
+  auto server = net.bind("127.0.0.1:0", {}).value();
+  log.install(*server);
+
+  // Two endpoint connections, interleaved in one burst.
+  auto client = net.bind("127.0.0.1:0", {}).value();
+  const std::vector<ConnId> conns = {client->connect(server->address()).value(),
+                                     client->connect(server->address()).value()};
+  std::vector<std::pair<ConnId, wire::Frame>> sends;
+  for (std::uint16_t i = 0; i < kFrames; ++i) {
+    for (const ConnId conn : conns) sends.emplace_back(conn, test_frame(i));
+  }
+  ASSERT_EQ(client->send_all(sends), sends.size());
+
+  // Two raw connections: one stream in a single write, one cut at seeded
+  // offsets, most of them inside a frame.
+  const wire::Bytes stream = numbered_stream(kFrames);
+  RawClient whole(server->address());
+  RawClient split(server->address());
+  ASSERT_TRUE(whole.connected() && split.connected());
+  ASSERT_TRUE(whole.write_all(stream));
+  Rng rng(0x5'9117);
+  for (std::size_t pos = 0; pos < stream.size();) {
+    const std::size_t cut =
+        std::min<std::size_t>(1 + rng.next_below(wire::kFrameHeaderSize + 40),
+                              stream.size() - pos);
+    ASSERT_TRUE(split.write_all(std::span(stream).subspan(pos, cut)));
+    pos += cut;
+    if (rng.bernoulli(0.05)) std::this_thread::sleep_for(50us);
+  }
+
+  constexpr std::size_t kTotal = 4 * std::size_t{kFrames};
+  ASSERT_TRUE(eventually([&] { return log.frames_seen() == kTotal; }, 10'000ms));
+  std::lock_guard<std::mutex> lock(log.mu);
+  ASSERT_EQ(log.by_conn.size(), 4u);
+  std::vector<std::uint16_t> in_order(kFrames);
+  for (std::uint16_t i = 0; i < kFrames; ++i) in_order[i] = i;
+  for (const auto& [conn, types] : log.by_conn) EXPECT_EQ(types, in_order);
+  EXPECT_LE(log.longest, kSendChunk);
+  EXPECT_LT(log.runs, kTotal);  // frames read together arrive together
+  EXPECT_EQ(server->counters().deliveries, log.runs);
+}
+
+TEST(TcpRunTest, ACloseEndsTheRunBeforeItIsDelivered) {
+  // Two good frames and a bad header arrive in one read: the frames
+  // reach the handler as one run, then the close the bad header causes.
+  RunLog log;  // declared first: the server's loop writes to it
+  TcpNetwork net;
+  auto server = net.bind("127.0.0.1:0", {}).value();
+  log.install(*server);
+  wire::Bytes bytes = numbered_stream(2);
+  wire::Bytes bad = wire_image(test_frame(2));
+  bad[0] ^= 0xFF;
+  bytes.insert(bytes.end(), bad.begin(), bad.end());
+  RawClient raw(server->address());
+  ASSERT_TRUE(raw.connected());
+  ASSERT_TRUE(raw.write_all(bytes));
+  EXPECT_TRUE(raw.sees_eof(5000ms));
+  ASSERT_TRUE(eventually([&] {
+    std::lock_guard<std::mutex> lock(log.mu);
+    return log.calls.size() == 2;
+  }));
+  std::lock_guard<std::mutex> lock(log.mu);
+  EXPECT_EQ(log.calls,
+            (std::vector<std::vector<int>>{{0, 1}, {RunLog::kClosedMark}}));
+}
+
+TEST(TcpRunTest, SendsDuringARunLeaveWhenItReturns) {
+  constexpr std::uint16_t kFrames = 500;
+  TcpNetwork net;
+  auto server = net.bind("127.0.0.1:0", {}).value();
+  std::atomic<std::uint64_t> writes_in_runs{0};
+  server->set_frame_handler([&](std::span<Delivery> run) {
+    const std::uint64_t before = server->counters().handoffs;
+    for (auto& [conn, frame] : run) {
+      ASSERT_TRUE(server->send(conn, std::move(frame)).is_ok());
+    }
+    // No writev while the run is being handled: the replies leave when
+    // the loop turn that delivered the run ends.
+    writes_in_runs += server->counters().handoffs - before;
+  });
+  EchoClient client(net, server->address());
+  for (std::uint16_t i = 0; i < kFrames; ++i) {
+    ASSERT_TRUE(client.endpoint->send(client.conn, test_frame(i)).is_ok());
+  }
+  for (std::uint16_t i = 0; i < kFrames; ++i) {
+    auto reply = client.echoes.pop_for(seconds(5));
+    ASSERT_TRUE(reply.has_value()) << "reply " << i << " never arrived";
+    ASSERT_EQ(reply->type, i);
+  }
+  EXPECT_EQ(writes_in_runs.load(), 0u);
+  EXPECT_GT(server->counters().handoffs, 0u);
 }
 
 }  // namespace
