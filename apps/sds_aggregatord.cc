@@ -1,13 +1,18 @@
 // sds_aggregatord — middle-tier aggregator daemon of the hierarchical
-// design. Accepts stage registrations, serves the global controller's
-// collect/enforce cycles, pre-aggregates metrics upward.
+// design: an interior runtime::ControllerNode. Accepts stage (and other
+// aggregators') registrations, serves its parent's collect/enforce
+// cycles, pre-aggregates metrics upward. An aggregator whose upstream is
+// another aggregator makes a 3-level tree.
 //
 //   sds_aggregatord --listen=0.0.0.0:7100 --upstream=ctrl:7000 --id=0
+//   sds_aggregatord --listen=0.0.0.0:7200 --upstream=agg:7100 --id=0
 //
 // Flags:
 //   --listen=HOST:PORT   bind address              (default 0.0.0.0:7100)
-//   --upstream=HOST:PORT global controller address (required)
-//   --id=N               aggregator ControllerId   (default 0)
+//   --upstream=HOST:PORT parent: the global controller or an aggregator
+//                        (required)
+//   --id=N               ControllerId among its parent's children
+//                        (default 0)
 //   --max-connections=N  per-endpoint cap          (default 2500)
 //   --report-ms=N        resource report interval  (default 10000)
 //   --telemetry-out=DIR  export JSONL/Prometheus snapshots + trace to DIR
@@ -17,7 +22,7 @@
 #include <thread>
 
 #include "apps/daemon_common.h"
-#include "runtime/aggregator_server.h"
+#include "runtime/controller_node.h"
 #include "transport/tcp.h"
 
 using namespace sds;
@@ -43,14 +48,14 @@ int main(int argc, char** argv) {
   }
 
   transport::TcpNetwork network;
-  runtime::AggregatorServerOptions options;
+  runtime::ControllerNodeOptions options;
   options.id =
       ControllerId{static_cast<std::uint32_t>(flags.get_int_or("id", 0))};
   options.upstream_address = *upstream;
   options.telemetry = apps::telemetry_flags(flags, "aggregator");
-  runtime::AggregatorServer server(network,
-                                   flags.get_or("listen", "0.0.0.0:7100"),
-                                   options);
+  runtime::ControllerNode server(network,
+                                 flags.get_or("listen", "0.0.0.0:7100"),
+                                 options);
 
   transport::EndpointOptions endpoint_options;
   endpoint_options.max_connections =

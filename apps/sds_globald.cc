@@ -1,7 +1,8 @@
 // sds_globald — the global SDS controller daemon.
 //
-// Binds a TCP endpoint, accepts stage and aggregator registrations, and
-// runs the collect → PSFA → enforce control loop until SIGINT/SIGTERM.
+// Runs the root runtime::ControllerNode: binds a TCP endpoint, accepts
+// stage and aggregator registrations, and runs the collect → PSFA →
+// enforce control loop until SIGINT/SIGTERM.
 //
 //   sds_globald --listen=0.0.0.0:7000 --policy=/etc/sdscale/policy.conf
 //               --period-ms=1000 --max-connections=2500
@@ -23,7 +24,7 @@
 
 #include "apps/daemon_common.h"
 #include "policy/spec.h"
-#include "runtime/global_server.h"
+#include "runtime/controller_node.h"
 #include "transport/tcp.h"
 
 using namespace sds;
@@ -53,11 +54,11 @@ int main(int argc, char** argv) {
   }
 
   transport::TcpNetwork network;
-  runtime::GlobalServerOptions options;
+  runtime::ControllerNodeOptions options;
   options.core.budgets = {spec.data_budget, spec.meta_budget};
   options.phase_timeout = seconds(5);
   options.telemetry = apps::telemetry_flags(flags, "global");
-  runtime::GlobalControllerServer server(
+  runtime::ControllerNode server(
       network, flags.get_or("listen", "0.0.0.0:7000"), options,
       std::make_unique<policy::Psfa>(spec.psfa));
 

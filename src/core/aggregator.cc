@@ -14,6 +14,38 @@ AggregatorCore::AggregatorCore(
       splitter_(policy::SplitStrategy::kProportional),
       store_(MetricsStoreOptions{options.activity_threshold}) {}
 
+proto::AggregatedMetrics merge_summaries(
+    std::uint64_t cycle_id, ControllerId from,
+    std::span<const proto::AggregatedMetrics> children) {
+  proto::AggregatedMetrics merged;
+  merged.cycle_id = cycle_id;
+  merged.from = from;
+  std::unordered_map<JobId, std::size_t> index;
+  std::size_t digest_count = 0;
+  for (const auto& child : children) {
+    merged.total_stages += child.total_stages;
+    digest_count += child.digests.size();
+    for (const auto& job : child.jobs) {
+      const auto [it, inserted] =
+          index.try_emplace(job.job_id, merged.jobs.size());
+      if (inserted) {
+        merged.jobs.push_back(job);
+      } else {
+        auto& row = merged.jobs[it->second];
+        row.data_iops += job.data_iops;
+        row.meta_iops += job.meta_iops;
+        row.stage_count += job.stage_count;
+      }
+    }
+  }
+  merged.digests.reserve(digest_count);
+  for (const auto& child : children) {
+    merged.digests.insert(merged.digests.end(), child.digests.begin(),
+                          child.digests.end());
+  }
+  return merged;
+}
+
 proto::AggregatedMetrics AggregatorCore::aggregate(
     std::uint64_t cycle_id, std::span<const proto::StageMetrics> metrics) const {
   proto::AggregatedMetrics out;
@@ -158,20 +190,6 @@ const proto::AggregatedMetrics& AggregatorCore::aggregate_from_store(
   }
   // sdscheck: end-hotpath
   return st.out;
-}
-
-AggregatorCore::RoutedRules AggregatorCore::route(
-    const proto::EnforceBatch& batch) const {
-  RoutedRules routed;
-  routed.owned.reserve(batch.rules.size());
-  for (const auto& rule : batch.rules) {
-    if (registry_.contains(rule.stage_id)) {
-      routed.owned.push_back(rule);
-    } else {
-      routed.unknown.push_back(rule);
-    }
-  }
-  return routed;
 }
 
 proto::EnforceAck AggregatorCore::merge_acks(

@@ -1,8 +1,8 @@
 // AggregatorCore — decision logic of the hierarchical design's middle
 // tier. Sits between the global controller and a disjoint set of stages:
-// disseminates collect requests downward, merges stage metrics into
-// per-job summaries upward (Cheferd-style pre-aggregation), routes
-// enforcement rules to its stages, and merges their acks.
+// merges stage metrics into per-job summaries upward (Cheferd-style
+// pre-aggregation), merges child summaries and stage acks. The node that
+// hosts it keeps the roster and routes the rules.
 //
 // Three extensions beyond the paper's prototype, all from its future-work
 // section: pass-through mode (no pre-aggregation; the ablation for
@@ -19,7 +19,6 @@
 
 #include "core/metrics_store.h"
 #include "core/policy_table.h"
-#include "core/registry.h"
 #include "policy/algorithm.h"
 #include "policy/psfa.h"
 #include "policy/splitter.h"
@@ -40,6 +39,15 @@ struct AggregatorOptions {
   double activity_threshold = 0.0;
 };
 
+/// Merge child summaries in the order given: job rows summed in
+/// first-seen order, digests concatenated so the receiver keeps per-stage
+/// visibility. Both executors' interior nodes merge through this one
+/// function, in child order, so the input order is canonical regardless
+/// of arrival order.
+[[nodiscard]] proto::AggregatedMetrics merge_summaries(
+    std::uint64_t cycle_id, ControllerId from,
+    std::span<const proto::AggregatedMetrics> children);
+
 class AggregatorCore {
  public:
   explicit AggregatorCore(
@@ -47,8 +55,6 @@ class AggregatorCore {
       std::unique_ptr<policy::ControlAlgorithm> local_algorithm = nullptr);
 
   [[nodiscard]] ControllerId id() const { return options_.id; }
-  [[nodiscard]] Registry& registry() { return registry_; }
-  [[nodiscard]] const Registry& registry() const { return registry_; }
   [[nodiscard]] bool preaggregate() const { return options_.preaggregate; }
 
   /// Merge per-stage metrics into the upward job summary.
@@ -74,15 +80,6 @@ class AggregatorCore {
   /// cover every bound stage — a silent stage contributes its last
   /// report (decide-on-stale semantics).
   const proto::AggregatedMetrics& aggregate_from_store(std::uint64_t cycle_id);
-
-  /// Split a global enforce batch into (stage, rule) pairs for stages this
-  /// aggregator owns; rules for unknown stages are returned separately so
-  /// the caller can report them.
-  struct RoutedRules {
-    std::vector<proto::Rule> owned;
-    std::vector<proto::Rule> unknown;
-  };
-  [[nodiscard]] RoutedRules route(const proto::EnforceBatch& batch) const;
 
   /// Merge per-stage acks into the single upward ack.
   [[nodiscard]] proto::EnforceAck merge_acks(
@@ -137,7 +134,6 @@ class AggregatorCore {
   AggregatorOptions options_;
   std::unique_ptr<policy::ControlAlgorithm> algorithm_;
   policy::RuleSplitter splitter_;
-  Registry registry_;
   PolicyTable policies_;
   proto::BudgetLease lease_;
   MetricsStore store_;

@@ -146,6 +146,11 @@ DeltaStatus MetricsStore::apply_delta(const proto::StageMetricsDelta& d,
     meta_limit = std::bit_cast<double>(
         std::bit_cast<std::uint64_t>(meta_limit) + d.deltas[3]);
   }
+  if (!std::isfinite(data_iops) || !std::isfinite(meta_iops) ||
+      !std::isfinite(data_limit) || !std::isfinite(meta_limit)) {
+    ++counters_.deltas_non_finite;
+    return DeltaStatus::kNonFinite;
+  }
   ++counters_.deltas_applied;
   fold(i, d.cycle_id, data_iops, meta_iops, data_limit, meta_limit);
   return DeltaStatus::kApplied;

@@ -51,6 +51,9 @@ enum class DeltaStatus {
   /// delta.base_cycle_id != the slot's last applied cycle: the chain
   /// broke (a lost report). The sender must refresh with a full frame.
   kBaseMismatch,
+  /// A reconstructed value is NaN or infinite; the slot keeps its last
+  /// report, as for every other refusal.
+  kNonFinite,
 };
 
 struct MetricsStoreOptions {
@@ -133,6 +136,7 @@ class MetricsStore {
     std::uint64_t deltas_duplicate = 0;
     std::uint64_t deltas_base_mismatch = 0;
     std::uint64_t deltas_unknown_stage = 0;
+    std::uint64_t deltas_non_finite = 0;
     std::uint64_t view_updates = 0;
   };
   [[nodiscard]] const Counters& counters() const { return counters_; }

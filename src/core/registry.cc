@@ -54,18 +54,4 @@ std::vector<JobId> Registry::jobs() const {
   return out;
 }
 
-std::vector<StageRecord> Registry::evict_via(ControllerId aggregator) {
-  std::vector<StageRecord> evicted;
-  std::vector<StageId> to_remove;
-  for (const StageId id : order_) {
-    const auto& record = records_.at(id);
-    if (record.via == aggregator) {
-      evicted.push_back(record);
-      to_remove.push_back(id);
-    }
-  }
-  for (const StageId id : to_remove) (void)remove(id);
-  return evicted;
-}
-
 }  // namespace sds::core

@@ -49,10 +49,6 @@ class Registry {
     for (const StageId id : order_) fn(records_.at(id));
   }
 
-  /// Remove every stage routed via `aggregator` (aggregator failure);
-  /// returns the removed records so they can be re-registered elsewhere.
-  std::vector<StageRecord> evict_via(ControllerId aggregator);
-
  private:
   std::unordered_map<StageId, StageRecord> records_;
   std::unordered_map<JobId, std::uint32_t> job_counts_;

@@ -1,6 +1,7 @@
 #include "proto/messages.h"
 
 #include <bit>
+#include <cmath>
 
 namespace sds::proto {
 
@@ -22,6 +23,14 @@ Id get_id32(Decoder& dec) {
 bool get_count(Decoder& dec, std::size_t min_size, std::uint64_t& n) {
   n = dec.get_varint();
   return dec.ok() && n <= dec.remaining() / min_size;
+}
+
+/// Rates, limits and budgets from the wire must be finite: one NaN or
+/// infinity poisons every allocation it is summed into. The codec itself
+/// carries any bit pattern; the messages refuse these.
+template <typename... T>
+bool finite(T... values) {
+  return (std::isfinite(values) && ...);
 }
 
 }  // namespace
@@ -129,6 +138,9 @@ Result<StageMetrics> StageMetrics::decode(Decoder& dec) {
   m.data_limit = dec.get_double();
   m.meta_limit = dec.get_double();
   if (!dec.ok()) return Status::invalid_argument("StageMetrics: truncated");
+  if (!finite(m.data_iops, m.meta_iops, m.data_limit, m.meta_limit)) {
+    return Status::invalid_argument("StageMetrics: non-finite value");
+  }
   return m;
 }
 
@@ -288,6 +300,9 @@ Result<JobMetrics> JobMetrics::decode(Decoder& dec) {
   m.meta_iops = dec.get_double();
   m.stage_count = dec.get_u32();
   if (!dec.ok()) return Status::invalid_argument("JobMetrics: truncated");
+  if (!finite(m.data_iops, m.meta_iops)) {
+    return Status::invalid_argument("JobMetrics: non-finite value");
+  }
   return m;
 }
 
@@ -305,6 +320,9 @@ Result<StageDigest> StageDigest::decode(Decoder& dec) {
   d.data_iops = dec.get_f32();
   d.meta_iops = dec.get_f32();
   if (!dec.ok()) return Status::invalid_argument("StageDigest: truncated");
+  if (!finite(d.data_iops, d.meta_iops)) {
+    return Status::invalid_argument("StageDigest: non-finite value");
+  }
   return d;
 }
 
@@ -374,6 +392,9 @@ Result<Rule> Rule::decode(Decoder& dec) {
   r.meta_iops_limit = dec.get_double();
   r.epoch = dec.get_varint();
   if (!dec.ok()) return Status::invalid_argument("Rule: truncated");
+  if (!finite(r.data_iops_limit, r.meta_iops_limit)) {
+    return Status::invalid_argument("Rule: non-finite limit");
+  }
   return r;
 }
 
@@ -480,6 +501,9 @@ Result<BudgetLease> BudgetLease::decode(Decoder& dec) {
   lease.meta_budget = dec.get_double();
   lease.valid_until_ns = dec.get_u64();
   if (!dec.ok()) return Status::invalid_argument("BudgetLease: truncated");
+  if (!finite(lease.data_budget, lease.meta_budget)) {
+    return Status::invalid_argument("BudgetLease: non-finite budget");
+  }
   return lease;
 }
 

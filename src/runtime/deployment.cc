@@ -13,7 +13,7 @@ Result<std::unique_ptr<Deployment>> Deployment::create(
   deployment->network_ = &network;
   deployment->options_ = options;
 
-  GlobalServerOptions global_options;
+  ControllerNodeOptions global_options;
   global_options.core.budgets = options.budgets;
   global_options.phase_timeout = options.phase_timeout;
   global_options.collect_quorum = options.collect_quorum;
@@ -23,15 +23,15 @@ Result<std::unique_ptr<Deployment>> Deployment::create(
         "local_decisions requires a hierarchical topology");
   }
   if (options.delta_metrics && options.num_aggregators > 0) {
-    // Aggregators fold full StageMetrics frames; they have no delta
-    // reassembly state, so delta collect frames are flat-only for now.
+    // Only the root folds deltas through its store; interior nodes fold
+    // full StageMetrics frames, so delta collect frames are flat-only.
     return Status::invalid_argument(
         "delta_metrics requires a flat topology");
   }
   if (options.delta_metrics && options.delta_refresh == 0) {
     return Status::invalid_argument("delta_metrics requires delta_refresh > 0");
   }
-  deployment->global_ = std::make_unique<GlobalControllerServer>(
+  deployment->global_ = std::make_unique<ControllerNode>(
       network, "global", global_options);
   SDS_RETURN_IF_ERROR(deployment->global_->start(
       transport::EndpointOptions{options.max_connections, 0}));
@@ -71,13 +71,13 @@ Result<std::unique_ptr<Deployment>> Deployment::create(
 
 Deployment::~Deployment() { shutdown(); }
 
-Result<std::unique_ptr<AggregatorServer>> Deployment::make_aggregator(
+Result<std::unique_ptr<ControllerNode>> Deployment::make_aggregator(
     std::size_t index) const {
-  AggregatorServerOptions agg_options;
+  ControllerNodeOptions agg_options;
   agg_options.id = ControllerId{static_cast<std::uint32_t>(index)};
   agg_options.upstream_address = "global";
   agg_options.phase_timeout = options_.phase_timeout;
-  auto agg = std::make_unique<AggregatorServer>(
+  auto agg = std::make_unique<ControllerNode>(
       *network_, "agg" + std::to_string(index), agg_options);
   SDS_RETURN_IF_ERROR(
       agg->start(transport::EndpointOptions{options_.max_connections, 0}));

@@ -1,7 +1,8 @@
 // Deployment — convenience builder for a full live control plane on one
-// transport network (in-process by default): a global controller, an
-// optional layer of aggregators, and stage hosts with virtual stages.
-// Used by the examples and the integration tests.
+// transport network (in-process by default): a root ControllerNode (the
+// global controller), an optional layer of interior nodes (aggregators),
+// and stage hosts with virtual stages. Used by the examples and the
+// integration tests.
 #pragma once
 
 #include <memory>
@@ -9,6 +10,7 @@
 #include <vector>
 
 #include "common/status.h"
+// ControllerNode, and the role names its users still spell.
 #include "runtime/aggregator_server.h"
 #include "runtime/global_server.h"
 #include "runtime/stage_host.h"
@@ -23,7 +25,7 @@ struct DeploymentOptions {
   std::size_t stages_per_host = 8;  // paper: 50 virtual stages per node
   core::Budgets budgets{};
   Nanos phase_timeout = seconds(5);
-  /// Global-controller gather quorum (GlobalServerOptions::collect_quorum).
+  /// The root's gather quorum (ControllerNodeOptions::collect_quorum).
   double collect_quorum = 1.0;
   /// Local-decision mode (paper §VI): lease budgets to aggregators that
   /// run PSFA over their own subtree. Requires num_aggregators > 0.
@@ -55,8 +57,8 @@ class Deployment {
   Deployment(const Deployment&) = delete;
   Deployment& operator=(const Deployment&) = delete;
 
-  [[nodiscard]] GlobalControllerServer& global() { return *global_; }
-  [[nodiscard]] std::vector<std::unique_ptr<AggregatorServer>>& aggregators() {
+  [[nodiscard]] ControllerNode& global() { return *global_; }
+  [[nodiscard]] std::vector<std::unique_ptr<ControllerNode>>& aggregators() {
     return aggregators_;
   }
   [[nodiscard]] std::vector<std::unique_ptr<StageHost>>& stage_hosts() {
@@ -84,15 +86,15 @@ class Deployment {
  private:
   Deployment() = default;
 
-  [[nodiscard]] Result<std::unique_ptr<AggregatorServer>> make_aggregator(
+  [[nodiscard]] Result<std::unique_ptr<ControllerNode>> make_aggregator(
       std::size_t index) const;
   [[nodiscard]] Result<std::unique_ptr<StageHost>> make_stage_host(
       std::size_t index) const;
 
   transport::Network* network_ = nullptr;
   DeploymentOptions options_;
-  std::unique_ptr<GlobalControllerServer> global_;
-  std::vector<std::unique_ptr<AggregatorServer>> aggregators_;
+  std::unique_ptr<ControllerNode> global_;
+  std::vector<std::unique_ptr<ControllerNode>> aggregators_;
   std::vector<std::unique_ptr<StageHost>> stage_hosts_;
 };
 

@@ -56,7 +56,7 @@ class FaultDriver {
 
   /// Called on every kill transition with a short description (e.g.
   /// "kill-host-3") BEFORE the kill is applied — the flight-recorder dump
-  /// hook: wire it to GlobalControllerServer::dump_flight so the span
+  /// hook: wire it to the root ControllerNode::dump_flight so the span
   /// ring is preserved while the spans leading up to the fault are still
   /// in it.
   void set_fault_hook(std::function<void(std::string_view)> hook) {

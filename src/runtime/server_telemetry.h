@@ -1,5 +1,5 @@
-// Shared telemetry wiring for the live servers (GlobalControllerServer,
-// AggregatorServer, StageHost): resolves TelemetryOptions into a registry
+// Shared telemetry wiring for the live servers (ControllerNode at every
+// tier, StageHost): resolves TelemetryOptions into a registry
 // and tracer (external or owned), binds the endpoint's transport counters
 // and the dispatcher's gather instruments, runs the periodic
 // TelemetryReporter when an output directory is configured, keeps the

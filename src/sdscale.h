@@ -39,9 +39,8 @@
 #include "core/policy_table.h"  // IWYU pragma: export
 #include "core/registry.h"      // IWYU pragma: export
 
-#include "runtime/aggregator_server.h"  // IWYU pragma: export
+#include "runtime/controller_node.h"    // IWYU pragma: export
 #include "runtime/deployment.h"         // IWYU pragma: export
-#include "runtime/global_server.h"      // IWYU pragma: export
 #include "runtime/stage_host.h"         // IWYU pragma: export
 
 #include "sim/engine.h"         // IWYU pragma: export

@@ -6,6 +6,7 @@
 #include <functional>
 #include <limits>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -94,6 +95,17 @@ class Run {
     }
     if (cfg_.fault_plan != nullptr && !cfg_.fault_plan->empty()) {
       SDS_RETURN_IF_ERROR(cfg_.fault_plan->validate());
+      // Nothing else bounds a cycle's deadline waits by the run, so a
+      // cycle waits at most 2 phases × (1 + max_deadline_extensions) ×
+      // duration.
+      if (cfg_.fault_plan->phase_timeout > cfg_.duration) {
+        std::ostringstream out;
+        out << "fault plan phase timeout of "
+            << to_millis(cfg_.fault_plan->phase_timeout)
+            << " ms exceeds the run duration of " << to_millis(cfg_.duration)
+            << " ms";
+        return Status::invalid_argument(std::move(out).str());
+      }
       if (coordinated() || deep() || cfg_.local_decisions) {
         return Status::invalid_argument(
             "fault injection supports only the flat and 2-level "
@@ -406,8 +418,9 @@ class Run {
     const std::size_t top = s_count > 0 ? 1 + a_count : 1;
     for (std::size_t id = top; id < nodes_.size(); ++id) adopt(kRoot, id);
 
-    // Register every stage with the controllers that manage it, and on
-    // the store path bind it to the store of the node it reports to.
+    // Register every stage with the global controller, routed via the
+    // aggregator that manages it, and on the store path bind it to the
+    // store of the node it reports to.
     // Binding in ascending stage order makes the slot index equal the
     // stage's leaf position, which the collect path relies on to skip the
     // id lookup.
@@ -423,12 +436,6 @@ class Run {
         const Status added = global_.registry().add({info, ConnId{i}, via});
         assert(added.is_ok());
         (void)added;
-        if (node.core != nullptr) {
-          const Status agg_added = node.core->registry().add(
-              {info, ConnId{i}, ControllerId::invalid()});
-          assert(agg_added.is_ok());
-          (void)agg_added;
-        }
         if (store_collect_) {
           const std::uint32_t slot = node.store->bind(info.stage_id, info.job_id);
           assert(slot == static_cast<std::uint32_t>(i - node.stage_begin));
@@ -799,8 +806,13 @@ class Run {
         sz = frame_size(report->summary);
       }
     } else {
-      const std::size_t digests = merge_children(node, report->summary);
-      cost = scaled(prof_.cpu_relay_per_stage, digests);
+      // Child order, so the merge is canonical regardless of arrival
+      // order; the super tier's ids start at 0x40000000.
+      report->summary = core::merge_summaries(
+          cycle_,
+          ControllerId{static_cast<std::uint32_t>(0x40000000u + node.index)},
+          node.child_summaries);
+      cost = scaled(prof_.cpu_relay_per_stage, report->summary.digests.size());
       sz = frame_size(report->summary);
       report->close = node.close_max;
     }
@@ -843,39 +855,6 @@ class Run {
     // collect boundary (and, in decide_coordinated, the compute one).
     collect_end_ = eng_.now();
     decide_coordinated(n);
-  }
-
-  /// Merge a node's child summaries in child order (job rows merged,
-  /// digests concatenated so the root keeps per-stage visibility); the
-  /// merge input order is canonical regardless of arrival order. Returns
-  /// the digest count.
-  std::size_t merge_children(const Node& node, proto::AggregatedMetrics& merged) {
-    merged.cycle_id = cycle_;
-    merged.from = ControllerId{
-        static_cast<std::uint32_t>(0x40000000u + node.index)};  // super-tier ids
-    std::unordered_map<JobId, std::size_t> index;
-    std::size_t digest_count = 0;
-    for (const auto& child : node.child_summaries) {
-      merged.total_stages += child.total_stages;
-      digest_count += child.digests.size();
-      for (const auto& job : child.jobs) {
-        const auto [it, inserted] = index.try_emplace(job.job_id, merged.jobs.size());
-        if (inserted) {
-          merged.jobs.push_back(job);
-        } else {
-          auto& row = merged.jobs[it->second];
-          row.data_iops += job.data_iops;
-          row.meta_iops += job.meta_iops;
-          row.stage_count += job.stage_count;
-        }
-      }
-    }
-    merged.digests.reserve(digest_count);
-    for (const auto& child : node.child_summaries) {
-      merged.digests.insert(merged.digests.end(), child.digests.begin(),
-                            child.digests.end());
-    }
-    return digest_count;
   }
 
   /// Send `sz` bytes from node `n` up to its parent, which runs
@@ -1060,7 +1039,9 @@ class Run {
       } else if (node.policy.local_decisions) {
         decide_locally(n);
       } else {
-        send_rules(n, node.core->route(enforce_batches_[node.index]).owned);
+        // group_rules filled this batch with exactly this aggregator's
+        // stages, so it goes down whole.
+        send_rules(n, enforce_batches_[node.index].rules);
       }
       return;
     }

@@ -1,6 +1,6 @@
 // TelemetryOptions — the one knob block every live component takes — and
 // TelemetryReporter, the periodic snapshot/flush thread for the live
-// runtime (GlobalControllerServer, AggregatorServer, StageHost, daemons).
+// runtime (ControllerNode at every tier, StageHost, daemons).
 //
 // The reporter appends one JSONL snapshot per period to
 // `<out_dir>/<component>.metrics.jsonl` and rewrites

@@ -70,28 +70,6 @@ TEST(AggregatorCoreTest, PassthroughRelaysRawEntries) {
   EXPECT_EQ(batch.entries[1].stage_id, StageId{2});
 }
 
-TEST(AggregatorCoreTest, RouteSeparatesOwnedFromUnknown) {
-  AggregatorCore agg(AggregatorOptions{ControllerId{1}});
-  ASSERT_TRUE(agg.registry()
-                  .add({{StageId{1}, NodeId{1}, JobId{0}, "n"},
-                        ConnId{1},
-                        ControllerId::invalid()})
-                  .is_ok());
-  proto::EnforceBatch batch;
-  batch.cycle_id = 1;
-  proto::Rule owned;
-  owned.stage_id = StageId{1};
-  proto::Rule foreign;
-  foreign.stage_id = StageId{99};
-  batch.rules = {owned, foreign};
-
-  const auto routed = agg.route(batch);
-  ASSERT_EQ(routed.owned.size(), 1u);
-  EXPECT_EQ(routed.owned[0].stage_id, StageId{1});
-  ASSERT_EQ(routed.unknown.size(), 1u);
-  EXPECT_EQ(routed.unknown[0].stage_id, StageId{99});
-}
-
 TEST(AggregatorCoreTest, MergeAcksSumsMatchingCycle) {
   AggregatorCore agg(AggregatorOptions{ControllerId{1}});
   const std::vector<proto::EnforceAck> acks = {

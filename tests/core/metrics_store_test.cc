@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <vector>
 
 #include "common/rng.h"
@@ -134,6 +135,29 @@ TEST(MetricsStoreTest, BrokenBaseChainRejected) {
   EXPECT_EQ(store.apply_delta(delta), DeltaStatus::kBaseMismatch);
   EXPECT_EQ(store.reported(0), base);  // old value stays in force
   EXPECT_EQ(store.counters().deltas_base_mismatch, 1u);
+}
+
+TEST(MetricsStoreTest, NonFiniteDeltaRejected) {
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity(),
+                           -std::numeric_limits<double>::infinity()}) {
+    MetricsStore store;
+    (void)store.bind(StageId{1}, JobId{0});
+    const proto::StageMetrics base = metrics(1, 0, 4, 100, 10);
+    (void)store.update(base);
+    std::vector<std::uint32_t> dirty;
+    store.drain_dirty(dirty);
+    proto::StageMetrics next = base;
+    next.cycle_id = 5;
+    next.data_iops = bad;
+    const auto delta = proto::StageMetricsDelta::make(base, next, true);
+    EXPECT_EQ(store.apply_delta(delta), DeltaStatus::kNonFinite) << bad;
+    EXPECT_EQ(store.reported(0), base);  // the last report stays in force
+    EXPECT_EQ(store.data_iops()[0], 100.0);
+    EXPECT_FALSE(store.any_dirty());
+    EXPECT_EQ(store.counters().deltas_non_finite, 1u);
+    EXPECT_EQ(store.counters().deltas_applied, 0u);
+  }
 }
 
 TEST(MetricsStoreTest, ActivityThresholdGatesComputeViewNotReported) {

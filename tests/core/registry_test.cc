@@ -5,12 +5,10 @@
 namespace sds::core {
 namespace {
 
-StageRecord record(std::uint32_t stage, std::uint32_t job,
-                   std::uint32_t via = ControllerId::kInvalid) {
+StageRecord record(std::uint32_t stage, std::uint32_t job) {
   StageRecord r;
   r.info = {StageId{stage}, NodeId{stage}, JobId{job}, "n"};
   r.conn = ConnId{stage};
-  r.via = ControllerId{via};
   return r;
 }
 
@@ -87,28 +85,6 @@ TEST(RegistryTest, ForEachVisitsAllInOrder) {
     ++expected;
   });
   EXPECT_EQ(expected, 10u);
-}
-
-TEST(RegistryTest, EvictViaRemovesSubtree) {
-  Registry registry;
-  ASSERT_TRUE(registry.add(record(1, 0, 100)).is_ok());
-  ASSERT_TRUE(registry.add(record(2, 0, 101)).is_ok());
-  ASSERT_TRUE(registry.add(record(3, 0, 100)).is_ok());
-  ASSERT_TRUE(registry.add(record(4, 1, 100)).is_ok());
-
-  const auto evicted = registry.evict_via(ControllerId{100});
-  EXPECT_EQ(evicted.size(), 3u);
-  EXPECT_EQ(registry.size(), 1u);
-  EXPECT_TRUE(registry.contains(StageId{2}));
-  EXPECT_EQ(registry.job_stage_count(JobId{0}), 1u);
-  EXPECT_EQ(registry.job_stage_count(JobId{1}), 0u);
-}
-
-TEST(RegistryTest, EvictViaNoMatches) {
-  Registry registry;
-  ASSERT_TRUE(registry.add(record(1, 0, 100)).is_ok());
-  EXPECT_TRUE(registry.evict_via(ControllerId{999}).empty());
-  EXPECT_EQ(registry.size(), 1u);
 }
 
 }  // namespace

@@ -182,6 +182,36 @@ TEST(SimFaultTest, UnsupportedTopologiesRejected) {
             StatusCode::kInvalidArgument);
 }
 
+TEST(SimFaultTest, PhaseTimeoutLongerThanTheRunRejected) {
+  // Each phase may re-arm its deadline while below quorum, and nothing
+  // else bounds the cycle by the run: a plan whose timeout outlasts the
+  // run is refused, with both values named, before anything runs.
+  for (const char* timeout : {"1e3", "1e5", "9.2233720368e12"}) {
+    const auto plan = fault::FaultPlan::parse(
+        std::string("timeout_ms ") + timeout + "\ndrop 0.1\n");
+    ASSERT_TRUE(plan.is_ok()) << plan.status();
+    ExperimentConfig config = base_config(10, 0);
+    config.duration = millis(50);
+    config.max_cycles = 2;
+    config.fault_plan = &*plan;
+    const auto result = run_experiment(config);
+    ASSERT_EQ(result.status().code(), StatusCode::kInvalidArgument)
+        << timeout;
+    EXPECT_NE(result.status().to_string().find("exceeds the run duration of 50 ms"),
+              std::string::npos)
+        << result.status();
+  }
+  // A timeout within the run still runs.
+  fault::FaultPlan plan;
+  plan.drop_probability = 0.1;
+  plan.phase_timeout = millis(15);
+  ExperimentConfig config = base_config(10, 0);
+  config.duration = millis(50);
+  config.max_cycles = 2;
+  config.fault_plan = &plan;
+  EXPECT_TRUE(run_experiment(config).is_ok());
+}
+
 TEST(SimFaultTest, MessageFaultsAloneStillCompleteEveryStage) {
   // Pure message chaos (no crashes): every cycle still terminates and
   // the run stays deterministic.

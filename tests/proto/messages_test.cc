@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "common/rng.h"
 
 namespace sds::proto {
@@ -125,6 +127,60 @@ TEST(MessagesTest, BudgetLeaseRoundTrip) {
 
 TEST(MessagesTest, ErrorMessageRoundTrip) {
   expect_roundtrip(ErrorMessage{404, "stage not found"});
+}
+
+/// Both from_frame overloads refuse `msg`.
+template <typename M>
+void expect_refused(const M& msg, double bad) {
+  const wire::Frame frame = to_frame(msg);
+  EXPECT_FALSE(from_frame<M>(frame).is_ok()) << to_string(M::kType) << " " << bad;
+  M out;
+  EXPECT_FALSE(from_frame(frame, out).is_ok())
+      << to_string(M::kType) << " " << bad;
+}
+
+TEST(MessagesTest, NonFiniteValuesAreRefused) {
+  // The codec carries any bit pattern; the messages refuse a NaN or an
+  // infinity in every rate, limit and budget they carry.
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity(),
+                           -std::numeric_limits<double>::infinity()}) {
+    for (double StageMetrics::*field :
+         {&StageMetrics::data_iops, &StageMetrics::meta_iops,
+          &StageMetrics::data_limit, &StageMetrics::meta_limit}) {
+      StageMetrics m = sample_metrics(1);
+      m.*field = bad;
+      expect_refused(m, bad);
+      MetricsBatch batch;
+      batch.entries = {sample_metrics(0), m};
+      expect_refused(batch, bad);
+    }
+    AggregatedMetrics agg;
+    agg.total_stages = 1;
+    agg.jobs.push_back({JobId{1}, 10.0, 1.0, 1});
+    agg.digests.push_back({StageId{0}, 10.0f, 1.0f});
+    for (double JobMetrics::*field :
+         {&JobMetrics::data_iops, &JobMetrics::meta_iops}) {
+      AggregatedMetrics bad_job = agg;
+      bad_job.jobs[0].*field = bad;
+      expect_refused(bad_job, bad);
+    }
+    for (float StageDigest::*field :
+         {&StageDigest::data_iops, &StageDigest::meta_iops}) {
+      AggregatedMetrics bad_digest = agg;
+      bad_digest.digests[0].*field = static_cast<float>(bad);
+      expect_refused(bad_digest, bad);
+    }
+    for (double Rule::*field : {&Rule::data_iops_limit, &Rule::meta_iops_limit}) {
+      EnforceBatch batch;
+      batch.rules = {{StageId{0}, JobId{0}, 100.0, 10.0, 1},
+                     {StageId{1}, JobId{0}, 100.0, 10.0, 1}};
+      batch.rules[1].*field = bad;
+      expect_refused(batch, bad);
+    }
+    expect_refused(BudgetLease{9, bad, 5e5, 1}, bad);
+    expect_refused(BudgetLease{9, 1e6, bad, 1}, bad);
+  }
 }
 
 TEST(MessagesTest, FromFrameRejectsWrongType) {

@@ -6,6 +6,7 @@
 
 #include "runtime/deployment.h"
 #include "sim/experiment.h"
+#include "three_level_tree.h"
 #include "workload/generators.h"
 
 namespace sds {
@@ -79,6 +80,48 @@ INSTANTIATE_TEST_SUITE_P(Topologies, CrossValidationTest,
                                            Topology{12, 0, 3},
                                            Topology{8, 2, 4},
                                            Topology{12, 3, 4}));
+
+TEST(CrossValidationTest, DeepTreeSimAndLiveEnforceSameLimits) {
+  // 8 stages in 2 jobs under 2 aggregators and 1 super-aggregator: the
+  // simulator's 3-level tree and a live one built node by node.
+  const core::Budgets budgets{4000.0, 400.0};
+  sim::ExperimentConfig sim_config;
+  sim_config.num_stages = 8;
+  sim_config.num_aggregators = 2;
+  sim_config.num_super_aggregators = 1;
+  sim_config.stages_per_job = 4;
+  sim_config.budgets = budgets;
+  sim_config.max_cycles = 4;
+  sim_config.duration = seconds(60);
+  sim_config.demand_factory = demand_for;
+  const auto sim_result = sim::run_experiment(sim_config);
+  ASSERT_TRUE(sim_result.is_ok()) << sim_result.status();
+
+  transport::InProcNetwork network;
+  runtime::ThreeLevelTreeOptions live_options;
+  live_options.stages = 8;
+  live_options.aggregators = 2;
+  live_options.stages_per_job = 4;
+  live_options.budgets = budgets;
+  live_options.demand = demand_for;
+  runtime::ThreeLevelTree tree(network, live_options);
+  ASSERT_TRUE(tree.start().is_ok());
+  ASSERT_TRUE(tree.root().run_cycles(4).is_ok());
+
+  ASSERT_EQ(sim_result->final_data_limits.size(), 8u);
+  for (std::uint32_t i = 0; i < 8; ++i) {
+    const double sim_data = sim_result->final_data_limits[i];
+    const auto live_data = tree.stage_limit(StageId{i}, stage::Dimension::kData);
+    ASSERT_TRUE(live_data.is_ok());
+    EXPECT_NEAR(*live_data, sim_data, std::abs(sim_data) * 0.01 + 0.5)
+        << "stage " << i;
+    const double sim_meta = sim_result->final_meta_limits[i];
+    const auto live_meta = tree.stage_limit(StageId{i}, stage::Dimension::kMeta);
+    ASSERT_TRUE(live_meta.is_ok());
+    EXPECT_NEAR(*live_meta, sim_meta, std::abs(sim_meta) * 0.01 + 0.5)
+        << "stage " << i << " (meta)";
+  }
+}
 
 }  // namespace
 }  // namespace sds

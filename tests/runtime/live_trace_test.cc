@@ -17,6 +17,7 @@
 #include "runtime/stage_host.h"
 #include "telemetry/metrics.h"
 #include "telemetry/span_tracer.h"
+#include "three_level_tree.h"
 #include "transport/inproc.h"
 #include "workload/generators.h"
 
@@ -268,6 +269,61 @@ TEST(LiveTraceTest, HierRuntimeStitchesThreeComponentsAndServesIntrospection) {
   host.shutdown();
   agg.shutdown();
   global.shutdown();
+}
+
+TEST(LiveTraceTest, ThreeLevelTreeStitchesThreeHops) {
+  // root (track 0) -> super-aggregator (1) -> aggregators (2, 3) -> stage
+  // hosts (4, 5): each hop's parent is the span of the node above it.
+  telemetry::SpanTracer tracer;
+  transport::InProcNetwork net;
+  ThreeLevelTreeOptions options;
+  options.tracer = &tracer;
+  ThreeLevelTree tree(net, options);
+  ASSERT_TRUE(tree.start().is_ok());
+  ASSERT_TRUE(tree.root().run_cycles(2).is_ok());
+
+  const auto spans = tracer.snapshot();
+  const auto traces = traces_of(spans, "cycle");
+  ASSERT_EQ(traces.size(), 2u);
+  const auto hop = [&](std::uint64_t trace, const char* name,
+                       std::uint32_t track) -> const Span* {
+    for (const auto& span : spans) {
+      if (span.trace_id == trace && span.name == name && span.track == track) {
+        return &span;
+      }
+    }
+    return nullptr;
+  };
+  for (const std::uint64_t trace : traces) {
+    const Span* super_collect = hop(trace, "agg.collect", 1);
+    ASSERT_NE(super_collect, nullptr) << "trace " << trace;
+    EXPECT_EQ(super_collect->parent_span, derive_span_id(trace, 0, "collect"));
+    const Span* super_enforce = hop(trace, "agg.enforce", 1);
+    ASSERT_NE(super_enforce, nullptr) << "trace " << trace;
+    EXPECT_EQ(super_enforce->parent_span,
+              derive_span_id(trace, 0, "disseminate"));
+    for (std::uint32_t a = 0; a < 2; ++a) {
+      const std::uint32_t agg_track = 2 + a;
+      const Span* agg_collect = hop(trace, "agg.collect", agg_track);
+      ASSERT_NE(agg_collect, nullptr) << "trace " << trace << " agg " << a;
+      EXPECT_EQ(agg_collect->parent_span,
+                derive_span_id(trace, 1, "agg.collect"));
+      const Span* agg_enforce = hop(trace, "agg.enforce", agg_track);
+      ASSERT_NE(agg_enforce, nullptr) << "trace " << trace << " agg " << a;
+      EXPECT_EQ(agg_enforce->parent_span,
+                derive_span_id(trace, 1, "agg.enforce"));
+
+      const std::uint32_t host_track = 4 + a;
+      const Span* stage_collect = hop(trace, "stage.collect", host_track);
+      ASSERT_NE(stage_collect, nullptr) << "trace " << trace << " host " << a;
+      EXPECT_EQ(stage_collect->parent_span,
+                derive_span_id(trace, agg_track, "agg.collect"));
+      const Span* stage_enforce = hop(trace, "stage.enforce", host_track);
+      ASSERT_NE(stage_enforce, nullptr) << "trace " << trace << " host " << a;
+      EXPECT_EQ(stage_enforce->parent_span,
+                derive_span_id(trace, agg_track, "agg.enforce"));
+    }
+  }
 }
 
 }  // namespace
