@@ -6,6 +6,7 @@
 #include <csignal>
 #include <cstdio>
 #include <string>
+#include <utility>
 
 #include "common/config.h"
 #include "monitor/resource_monitor.h"
@@ -44,11 +45,14 @@ inline Config parse_flags(int argc, char** argv, const char* usage) {
 /// Map the shared observability flags onto TelemetryOptions:
 ///   --telemetry-out=DIR        enable export; JSONL/Prometheus snapshots
 ///                              (and a Chrome trace on shutdown) land in DIR
+///                              as <component>.metrics.jsonl etc.
 ///   --telemetry-period-ms=N    snapshot period (default 1000)
+/// `component` names the daemon's role plus what tells two of them on
+/// one machine apart (`aggregator-7100`), so they can share one DIR.
 inline telemetry::TelemetryOptions telemetry_flags(const Config& flags,
-                                                   const char* component) {
+                                                   std::string component) {
   telemetry::TelemetryOptions options;
-  options.component = component;
+  options.component = std::move(component);
   if (const auto dir = flags.get("telemetry-out")) {
     options.enabled = true;
     options.out_dir = *dir;

@@ -16,6 +16,7 @@
 //   --max-connections=N  per-endpoint cap          (default 2500)
 //   --report-ms=N        resource report interval  (default 10000)
 //   --telemetry-out=DIR  export JSONL/Prometheus snapshots + trace to DIR
+//                        as aggregator-<listen port>.*
 //   --telemetry-period-ms=N  telemetry snapshot period (default 1000)
 //   --introspect-port=N    serve live /metrics, /cycles and /flight over
 //                          HTTP on 127.0.0.1:N (0 = ephemeral port)
@@ -47,15 +48,16 @@ int main(int argc, char** argv) {
     return 2;
   }
 
+  const std::string listen = flags.get_or("listen", "0.0.0.0:7100");
   transport::TcpNetwork network;
   runtime::ControllerNodeOptions options;
   options.id =
       ControllerId{static_cast<std::uint32_t>(flags.get_int_or("id", 0))};
   options.upstream_address = *upstream;
-  options.telemetry = apps::telemetry_flags(flags, "aggregator");
-  runtime::ControllerNode server(network,
-                                 flags.get_or("listen", "0.0.0.0:7100"),
-                                 options);
+  // Ids repeat under different parents; listen ports do not on one host.
+  options.telemetry = apps::telemetry_flags(
+      flags, "aggregator-" + listen.substr(listen.rfind(':') + 1));
+  runtime::ControllerNode server(network, listen, options);
 
   transport::EndpointOptions endpoint_options;
   endpoint_options.max_connections =

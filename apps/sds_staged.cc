@@ -20,6 +20,7 @@
 //   --trace=PATH           replay demand from a trace CSV instead
 //   --report-ms=N          resource report interval   (default 10000)
 //   --telemetry-out=DIR    export JSONL/Prometheus snapshots + trace to DIR
+//                          as stage_host-<first stage>.*
 //   --telemetry-period-ms=N  telemetry snapshot period (default 1000)
 //   --introspect-port=N    serve live /metrics, /cycles and /flight over
 //                          HTTP on 127.0.0.1:N (0 = ephemeral port)
@@ -66,7 +67,11 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "--controllers is required\n%s", kUsage);
     return 2;
   }
-  options.telemetry = apps::telemetry_flags(flags, "stage_host");
+  const auto first_stage =
+      static_cast<std::uint32_t>(flags.get_int_or("first-stage", 0));
+  // The default port is ephemeral; the first stage id tells hosts apart.
+  options.telemetry = apps::telemetry_flags(
+      flags, "stage_host-" + std::to_string(first_stage));
 
   workload::DemandTrace trace;
   bool use_trace = false;
@@ -90,8 +95,6 @@ int main(int argc, char** argv) {
 
   const auto num_stages =
       static_cast<std::uint32_t>(flags.get_int_or("stages", 50));
-  const auto first_stage =
-      static_cast<std::uint32_t>(flags.get_int_or("first-stage", 0));
   const auto job_size =
       static_cast<std::uint32_t>(std::max<std::int64_t>(1, flags.get_int_or("job-size", 50)));
   const double data_rate = flags.get_double_or("data-demand", 1000.0);

@@ -57,7 +57,10 @@ class AggregatorCore {
   [[nodiscard]] ControllerId id() const { return options_.id; }
   [[nodiscard]] bool preaggregate() const { return options_.preaggregate; }
 
-  /// Merge per-stage metrics into the upward job summary.
+  /// Merge per-stage metrics into the upward job summary, in arrival
+  /// order. Only the simulator's batch collect path calls it (faults,
+  /// coordinated peers, local decisions); every live ControllerNode folds
+  /// its stages into store() and summarizes with aggregate_from_store().
   [[nodiscard]] proto::AggregatedMetrics aggregate(
       std::uint64_t cycle_id, std::span<const proto::StageMetrics> metrics) const;
 

@@ -58,7 +58,7 @@ class GlobalControllerCore {
   proto::CollectRequest begin_cycle();
   [[nodiscard]] std::uint64_t current_cycle() const { return cycle_; }
 
-  /// Flat path: per-stage metrics straight from the stages.
+  /// Flat batch path (the simulator's): per-stage metrics from stages.
   [[nodiscard]] ComputeResult compute(std::span<const proto::StageMetrics> metrics) const;
 
   /// Hierarchical path: job summaries from aggregators.

@@ -16,18 +16,13 @@ namespace {
 /// gets a batch even when no rule routes to it.
 constexpr std::size_t kNoRule = std::numeric_limits<std::size_t>::max();
 
-/// Decode stage reports; `refused` counts the ones that did not decode.
-std::vector<proto::StageMetrics> decode_reports(
-    std::span<const rpc::Gather::Reply> replies, std::size_t& refused) {
+/// Each stage's last accepted report, as `store` holds it.
+std::vector<proto::StageMetrics> stored_reports(
+    const core::MetricsStore& store) {
   std::vector<proto::StageMetrics> reports;
-  reports.reserve(replies.size());
-  for (const auto& reply : replies) {
-    auto report = proto::from_frame<proto::StageMetrics>(reply.frame);
-    if (report.is_ok()) {
-      reports.push_back(std::move(report).value());
-    } else {
-      ++refused;
-    }
+  reports.reserve(store.size());
+  for (std::uint32_t i = 0; i < store.size(); ++i) {
+    reports.push_back(store.reported(i));
   }
   return reports;
 }
@@ -207,8 +202,7 @@ void ControllerNode::on_conn_closed(ConnId conn) {
 
 ControllerNode::Collected ControllerNode::collect(
     const proto::CollectRequest& request,
-    const std::optional<wire::TraceContext>& ctx, bool fold_deltas,
-    Stopwatch& phase) {
+    const std::optional<wire::TraceContext>& ctx, Stopwatch& phase) {
   const std::uint64_t cycle = request.cycle_id;
   std::vector<ConnId> stage_conns;  // one entry per stage registered here
   std::vector<ConnId> controller_conns;
@@ -221,19 +215,21 @@ ControllerNode::Collected ControllerNode::collect(
     std::ranges::transform(controllers_, std::back_inserter(controller_conns),
                            &ControllerChild::conn);
   }
-  // One gather per reply type that has peers to expect.
+  Collected out;
+  out.controllers = controller_conns.size();
+  // One gather per reply type that has peers to expect; a stage answers
+  // with a full frame or a delta.
   const auto start = [&](proto::MessageType type, std::vector<ConnId> peers,
-                         std::optional<proto::MessageType> alt) {
+                         std::optional<proto::MessageType> alt = {}) {
     return peers.empty() ? nullptr
                          : dispatcher_.start_gather(type, cycle,
                                                     std::move(peers), alt);
   };
-  const auto stages = start(
-      proto::MessageType::kStageMetrics, std::move(stage_conns),
-      fold_deltas ? std::optional(proto::MessageType::kStageMetricsDelta)
-                  : std::nullopt);
+  const auto stages =
+      start(proto::MessageType::kStageMetrics, std::move(stage_conns),
+            proto::MessageType::kStageMetricsDelta);
   const auto controllers = start(proto::MessageType::kAggregatedMetrics,
-                                 std::move(controller_conns), std::nullopt);
+                                 std::move(controller_conns));
 
   // One encode for the whole wave: every child queues the same
   // ref-counted wire image (trace trailer included).
@@ -247,7 +243,6 @@ ControllerNode::Collected ControllerNode::collect(
         options_.phase_timeout,
         fault::quorum_count(options_.collect_quorum, gather->expected().size()));
   };
-  Collected out;
   const Status stage_wait = wait(stages.get());
   out.stages_closed = phase.elapsed();
   if (is_root() && options_.telemetry.enabled) phase_probe_.mark("collect");
@@ -271,13 +266,46 @@ ControllerNode::Collected ControllerNode::collect(
       }
     }
   };
+  std::vector<rpc::Gather::Reply> stage_replies;
   if (stages != nullptr) {
     if (is_root()) {
       out.stale += stages->missing();
       note_outcomes(*stages);
     }
-    out.stage_replies = stages->take_replies();
+    stage_replies = stages->take_replies();
     dispatcher_.finish(stages);
+  }
+  out.stage_replies = stage_replies.size();
+  {
+    MutexLock lock(mu_);
+    sync_store(is_root() && out.controllers == 0);
+    core::MetricsStore& store = summarizer_.store();
+    std::size_t refused = 0;
+    // sdscheck: hotpath — the per-reply fold: each report decodes on the
+    // stack straight into its store slot.
+    for (const auto& reply : stage_replies) {
+      bool applied = false;
+      if (reply.frame.type == static_cast<std::uint16_t>(
+                                  proto::MessageType::kStageMetricsDelta)) {
+        const auto delta =
+            proto::from_frame<proto::StageMetricsDelta>(reply.frame);
+        applied = delta.is_ok() &&
+                  store.apply_delta(*delta, store_hint(reply.conn)) ==
+                      core::DeltaStatus::kApplied;
+      } else if (const auto metrics =
+                     proto::from_frame<proto::StageMetrics>(reply.frame);
+                 metrics.is_ok()) {
+        (void)store.update(*metrics);
+        applied = true;
+      }
+      if (!applied) ++refused;
+    }
+    // sdscheck: end-hotpath
+    // A refused report (undecodable, non-finite, a delta on a broken base
+    // chain) leaves the slot's previous report in force, as a silent
+    // stage's does; a host's periodic full refresh re-anchors its stages'
+    // delta chains. The root counts it stale.
+    if (is_root()) out.stale += refused;
   }
   if (controllers != nullptr) {
     const std::vector<ConnId>& expected = controllers->expected();
@@ -391,18 +419,12 @@ Result<core::PhaseBreakdown> ControllerNode::run_cycle() {
   if (!is_root()) {
     return Status::failed_precondition("run_cycle on a node with a parent");
   }
-  // Purely flat cycles fold every stage frame (full or delta) into the
-  // columnar store and run the incremental PSFA over it, bit-identical to
-  // the batch pipeline; cycles with controller children compute over
-  // summaries instead.
-  bool store_cycle = false;
   proto::CollectRequest request;
   {
     MutexLock lock(mu_);
     if (core_.registry().size() == 0 && controllers_.empty()) {
       return Status::failed_precondition("no stages or aggregators registered");
     }
-    store_cycle = controllers_.empty() && !options_.local_decisions;
     request = core_.begin_cycle();
   }
   const std::uint64_t cycle = request.cycle_id;
@@ -419,10 +441,7 @@ Result<core::PhaseBreakdown> ControllerNode::run_cycle() {
       request,
       wire::TraceContext{cycle,
                          telemetry::derive_span_id(cycle, track, "collect")},
-      store_cycle, phase);
-  std::size_t refused = 0;
-  std::vector<proto::StageMetrics> reports;
-  if (!store_cycle) reports = decode_reports(collected.stage_replies, refused);
+      phase);
   breakdown.collect = phase.elapsed();
   breakdown.aggregate =
       std::clamp(breakdown.collect - collected.stages_closed, Nanos{0},
@@ -430,13 +449,12 @@ Result<core::PhaseBreakdown> ControllerNode::run_cycle() {
   if (instrumented) phase_probe_.mark("aggregate");
   phase.restart();
 
-  if ((store_cycle ? collected.stage_replies.empty() : reports.empty()) &&
-      collected.summaries.empty()) {
+  if (collected.stage_replies == 0 && collected.summaries.empty()) {
     return Status::unavailable("no metrics collected in cycle " +
                                std::to_string(cycle));
   }
   if (options_.local_decisions) {
-    if (!reports.empty()) {
+    if (collected.stage_replies > 0) {
       return Status::failed_precondition(
           "local-decision mode requires all stages behind aggregators");
     }
@@ -450,41 +468,18 @@ Result<core::PhaseBreakdown> ControllerNode::run_cycle() {
   const core::ComputeResult* result = &computed;
   {
     MutexLock lock(mu_);
-    if (store_cycle) {
-      sync_store();
-      // A refused report (undecodable, non-finite, a delta on a broken
-      // base chain) leaves the slot's previous report in force; a host's
-      // periodic full refresh re-anchors its stages' delta chains.
-      for (const auto& reply : collected.stage_replies) {
-        bool applied = false;
-        if (reply.frame.type == static_cast<std::uint16_t>(
-                                    proto::MessageType::kStageMetricsDelta)) {
-          const auto delta =
-              proto::from_frame<proto::StageMetricsDelta>(reply.frame);
-          applied = delta.is_ok() &&
-                    store_.apply_delta(*delta, store_hint(reply.conn)) ==
-                        core::DeltaStatus::kApplied;
-        } else if (const auto metrics =
-                       proto::from_frame<proto::StageMetrics>(reply.frame);
-                   metrics.is_ok()) {
-          (void)store_.update(*metrics);
-          applied = true;
-        }
-        if (!applied) ++refused;
-      }
-      result = &core_.compute_from_store(store_);
+    if (collected.controllers == 0) {
+      result = &core_.compute_from_store(summarizer_.store());
     } else {
-      // Any direct stages' reports join as one more summary, so one
-      // compute path covers the whole roster.
-      if (!reports.empty()) {
-        collected.summaries.push_back(summarizer_.aggregate(cycle, reports));
+      // Any direct stages join as one more summary, so one compute path
+      // covers the whole roster.
+      if (!summarizer_.store().empty()) {
+        collected.summaries.push_back(summarizer_.aggregate_from_store(cycle));
       }
       computed = core_.compute(std::span<const proto::AggregatedMetrics>(
           collected.summaries.data(), collected.summaries.size()));
     }
   }
-  // Degraded-cycle accounting treats a refused report like a silent stage.
-  const std::size_t stale = collected.stale + refused;
   breakdown.compute = phase.elapsed();
   if (instrumented) phase_probe_.mark("compute");
   phase.restart();
@@ -499,9 +494,9 @@ Result<core::PhaseBreakdown> ControllerNode::run_cycle() {
   breakdown.enforce = phase.elapsed();
   if (instrumented) phase_probe_.mark("enforce");
 
-  const bool degraded = stale > 0 || acks.missing > 0;
-  if (degraded) stats_.record_degraded(stale);
-  stats_.record(cycle, breakdown, degraded, stale);
+  const bool degraded = collected.stale > 0 || acks.missing > 0;
+  if (degraded) stats_.record_degraded(collected.stale);
+  stats_.record(cycle, breakdown, degraded, collected.stale);
   trace_cycle(cycle, breakdown);
   if (degraded && !flight_dumped_) {
     // First degraded cycle: preserve the span ring before it wraps.
@@ -645,7 +640,7 @@ void ControllerNode::serve(const wire::Frame& frame) {
         if (controllers_.empty()) {
           summarizer_.set_lease(*lease);
           rules = summarizer_.local_compute(
-              lease->cycle_id, last_collected_,
+              lease->cycle_id, stored_reports(summarizer_.store()),
               static_cast<std::uint64_t>(clock_->now().count()));
         }
       }
@@ -669,23 +664,21 @@ void ControllerNode::serve_collect(
   // this node in the stitched trace.
   const auto down = child_context(ctx, "agg.collect");
   Stopwatch phase(*clock_);
-  Collected collected = collect(request, down, /*fold_deltas=*/false, phase);
-  std::size_t refused = 0;
-  std::vector<proto::StageMetrics> reports =
-      decode_reports(collected.stage_replies, refused);
-  proto::AggregatedMetrics summary;
+  Collected collected = collect(request, down, phase);
+  proto::AggregatedMetrics merged;
+  // The store's summary persists, refreshed only here: encoded unlocked.
+  const proto::AggregatedMetrics* summary = &merged;
   ConnId upstream;
   {
     MutexLock lock(mu_);
     if (collected.summaries.empty()) {
-      summary = summarizer_.aggregate(cycle, reports);
+      summary = &summarizer_.aggregate_from_store(cycle);
     } else {
-      if (!reports.empty()) {
-        collected.summaries.push_back(summarizer_.aggregate(cycle, reports));
+      if (!summarizer_.store().empty()) {
+        collected.summaries.push_back(summarizer_.aggregate_from_store(cycle));
       }
-      summary = core::merge_summaries(cycle, options_.id, collected.summaries);
+      merged = core::merge_summaries(cycle, options_.id, collected.summaries);
     }
-    last_collected_ = std::move(reports);
     upstream = upstream_;
   }
   if (ctx.has_value()) {
@@ -693,7 +686,7 @@ void ControllerNode::serve_collect(
                 clock_->now() - begin, telemetry::SpanPhase::kCollect);
   }
   if (upstream.valid()) {
-    (void)endpoint_->send(upstream, proto::to_frame(summary, down));
+    (void)endpoint_->send(upstream, proto::to_frame(*summary, down));
   }
 }
 
@@ -726,26 +719,29 @@ void ControllerNode::serve_rules(std::uint64_t cycle,
   }
 }
 
-void ControllerNode::sync_store() {
-  if (!store_roster_changed_) return;
+void ControllerNode::sync_store(bool computes) {
+  if (!store_roster_changed_ && computes == store_computes_) return;
   store_roster_changed_ = false;
+  // Both consumers cache per-slot state by structure epoch, so after a
+  // role flip the next one rebuilds from every slot.
+  store_computes_ = computes;
+  core::MetricsStore& store = summarizer_.store();
   // Carry surviving slots' last reports across the rebuild: the reported
   // column is the bit-exact delta base, so re-seeding it keeps every
-  // unaffected stage's delta chain anchored through roster churn.
-  std::vector<proto::StageMetrics> carried;
-  carried.reserve(store_.size());
-  const auto last_cycles = store_.last_cycle();
-  for (std::uint32_t i = 0; i < store_.size(); ++i) {
-    if (last_cycles[i] > 0) carried.push_back(store_.reported(i));
-  }
-  store_.reset(core_.registry().size());
+  // unaffected stage's delta chain anchored through roster churn. A slot
+  // never reported carries the values it is bound with.
+  const std::vector<proto::StageMetrics> carried = stored_reports(store);
+  std::size_t direct = 0;  // a hierarchical root reserves no slots
+  core_.registry().for_each(
+      [&](const core::StageRecord& record) { direct += !record.via.valid(); });
+  store.reset(direct);
   core_.registry().for_each([&](const core::StageRecord& record) {
     if (!record.via.valid()) {
-      (void)store_.bind(record.info.stage_id, record.info.job_id);
+      (void)store.bind(record.info.stage_id, record.info.job_id);
     }
   });
   for (const auto& m : carried) {
-    (void)store_.update(m);  // drops stages that left the roster
+    (void)store.update(m);  // drops stages that left the roster
   }
 }
 
@@ -760,7 +756,7 @@ std::uint32_t ControllerNode::store_hint(ConnId conn) const {
   for (const StageId s : it->second) {
     if (s != stage) return core::MetricsStore::kInvalidIndex;
   }
-  return store_.index_of(stage);
+  return summarizer_.store().index_of(stage);
 }
 
 Result<std::vector<ControllerNode::DeadPeer>> ControllerNode::probe_liveness(

@@ -9,10 +9,12 @@
 // makes a 3-level tree.
 //
 // Every node registers (upsert, ack, forward up), collects (one request
-// image down; StageMetrics and AggregatedMetrics up to a quorum) and
-// enforces (one EnforceBatch per child connection; acks up) on one path.
-// Then the root computes and records the cycle, and an interior node
-// summarizes or merges and answers its parent.
+// image down; stage reports, full or delta, and AggregatedMetrics up to a
+// quorum) and enforces (one EnforceBatch per child connection; acks up)
+// on one path. Stage reports fold into the node's one MetricsStore, where
+// a silent or refused stage keeps its last accepted report. A root with
+// no controller children then computes from the store; any other node
+// summarizes it (aggregate_from_store) for its parent, or for compute.
 #pragma once
 
 #include <atomic>
@@ -148,14 +150,17 @@ class ControllerNode {
   void shutdown();
 
  private:
-  /// What one collect wave brought back.
+  /// What one collect wave brought back (stage reports are in the store).
   struct Collected {
-    /// Undecoded, since the root's store path folds deltas too.
-    std::vector<rpc::Gather::Reply> stage_replies;
     /// Controller children's summaries in child order, and their conns.
     std::vector<proto::AggregatedMetrics> summaries;
     std::vector<ConnId> summary_conns;
-    /// Root: stages with no fresh report (a silent child's whole subtree).
+    /// Controller children the wave expected (none: compute from store).
+    std::size_t controllers = 0;
+    /// Stage replies that arrived, folded or refused.
+    std::size_t stage_replies = 0;
+    /// Root: stages with no fresh report (silent, refused, or a silent
+    /// child's whole subtree).
     std::size_t stale = 0;
     Nanos stages_closed{0};  // the rest of the collect is aggregation tail
   };
@@ -177,12 +182,11 @@ class ControllerNode {
   void on_frame(ConnId conn, wire::Frame& frame);
   void on_conn_closed(ConnId conn);
 
-  /// Send `request` to every child (one encode for all of them) and
-  /// gather their replies. `fold_deltas` also accepts StageMetricsDelta
-  /// from stages.
+  /// Send `request` to every child (one encode for all of them), gather
+  /// their replies and fold the stages' into the store.
   Collected collect(const proto::CollectRequest& request,
                     const std::optional<wire::TraceContext>& ctx,
-                    bool fold_deltas, Stopwatch& phase);
+                    Stopwatch& phase);
   /// Send `rules` down, one batch per child connection, and gather the
   /// acks.
   Acks enforce(std::uint64_t cycle, std::span<const proto::Rule> rules,
@@ -214,8 +218,10 @@ class ControllerNode {
   [[nodiscard]] std::optional<wire::TraceContext> child_context(
       const std::optional<wire::TraceContext>& ctx, const char* name) const;
 
-  /// Rebind the store to the current direct-stage roster if it changed.
-  void sync_store() SDS_REQUIRES(mu_);
+  /// Rebind the store to the current direct-stage roster if it changed,
+  /// or if its consumer did: `computes` when compute_from_store drains
+  /// the store's dirty set this cycle, not when aggregate_from_store does.
+  void sync_store(bool computes) SDS_REQUIRES(mu_);
   /// Store slot for a delta that omitted its stage id: the slot of the
   /// connection's one registered stage, else kInvalidIndex.
   [[nodiscard]] std::uint32_t store_hint(ConnId conn) const SDS_REQUIRES(mu_);
@@ -234,20 +240,19 @@ class ControllerNode {
   /// Decisions and the roster: each stage registered here, its conn and
   /// the controller child it came through (`via`).
   core::GlobalControllerCore core_ SDS_GUARDED_BY(mu_);
-  /// Summaries of stage reports, merged acks, leased decisions.
+  /// The node's store of stage reports (`summarizer_.store()`), its
+  /// summaries of them, merged acks and leased decisions.
   core::AggregatorCore summarizer_ SDS_GUARDED_BY(mu_);
-  /// Columnar metrics store backing the root's flat incremental path.
-  core::MetricsStore store_ SDS_GUARDED_BY(mu_);
   /// Roster moved since the last sync_store().
   bool store_roster_changed_ SDS_GUARDED_BY(mu_) = true;
+  /// The consumer the store was last bound for (see sync_store).
+  bool store_computes_ SDS_GUARDED_BY(mu_) = false;
   /// Stages registered on each child connection (upserts may repeat one).
   std::unordered_map<ConnId, std::vector<StageId>> stages_by_conn_
       SDS_GUARDED_BY(mu_);
   /// Controller children in ControllerId order.
   std::vector<ControllerChild> controllers_ SDS_GUARDED_BY(mu_);
   ConnId upstream_ SDS_GUARDED_BY(mu_) = ConnId::invalid();
-  /// The last collect's stage reports, kept for local-decision leases.
-  std::vector<proto::StageMetrics> last_collected_ SDS_GUARDED_BY(mu_);
   bool started_ SDS_GUARDED_BY(mu_) = false;
 
   // The rest belongs to the one thread that runs waves: the caller of

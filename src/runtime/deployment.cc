@@ -22,12 +22,6 @@ Result<std::unique_ptr<Deployment>> Deployment::create(
     return Status::invalid_argument(
         "local_decisions requires a hierarchical topology");
   }
-  if (options.delta_metrics && options.num_aggregators > 0) {
-    // Only the root folds deltas through its store; interior nodes fold
-    // full StageMetrics frames, so delta collect frames are flat-only.
-    return Status::invalid_argument(
-        "delta_metrics requires a flat topology");
-  }
   if (options.delta_metrics && options.delta_refresh == 0) {
     return Status::invalid_argument("delta_metrics requires delta_refresh > 0");
   }

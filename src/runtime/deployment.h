@@ -34,9 +34,9 @@ struct DeploymentOptions {
   /// per-node limit.
   std::size_t max_connections = 0;
   /// Stage hosts answer collects with StageMetricsDelta frames
-  /// (StageHostOptions::delta_metrics); the flat global controller folds
-  /// them through its columnar MetricsStore. Flat-only: aggregators do
-  /// not reassemble deltas, so create() rejects this with aggregators.
+  /// (StageHostOptions::delta_metrics); whichever node a stage reports
+  /// to, the global controller or an aggregator, folds them through its
+  /// columnar MetricsStore.
   bool delta_metrics = false;
   std::size_t delta_refresh = 64;
   /// Demand for every stage when no factory is given.

@@ -1,7 +1,8 @@
 // ControllerNode at every tier: a hand-built 3-level live tree, rules for
 // stages a node does not know, a lost controller child's stages, empty
-// batches for controller children, and stage reports that carry
-// non-finite values.
+// batches for controller children, stage reports that carry non-finite
+// values at the root and below it, and a root whose role flips between
+// computing from its store and summarizing it.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -216,50 +217,62 @@ TEST(ControllerNodeTest, EveryControllerChildGetsABatch) {
   super.shutdown();
 }
 
-TEST(ControllerNodeTest, NonFiniteReportCountsStaleAndLeavesTheBudgetWhole) {
-  // Four stages in two jobs under a 1,000 data ops/s budget. Stage 0 is a
-  // scripted stage that reports an infinite data rate every cycle.
-  transport::InProcNetwork net;
-  ControllerNodeOptions options;
-  options.core.budgets = {1000.0, 100.0};
-  ControllerNode root(net, "global", options);
-  ASSERT_TRUE(root.start().is_ok());
-
-  auto rogue = net.bind("rogue", {}).value();
-  rogue->set_frame_handler([&rogue](ConnId conn, wire::Frame frame) {
-    using proto::MessageType;
-    switch (static_cast<MessageType>(frame.type)) {
-      case MessageType::kCollectRequest: {
-        proto::StageMetrics report;
-        report.cycle_id =
-            proto::from_frame<proto::CollectRequest>(frame).value().cycle_id;
-        report.stage_id = StageId{0};
-        report.job_id = JobId{0};
-        report.data_iops = std::numeric_limits<double>::infinity();
-        report.meta_iops = 10;
-        (void)rogue->send(conn, proto::to_frame(report));
-        break;
+/// A scripted stage 0 of job 0, registered with `controller`: it reports
+/// an infinite data rate every cycle, acks every batch and records the
+/// rules it gets.
+struct RogueStage {
+  RogueStage(transport::InProcNetwork& net, const std::string& controller)
+      : endpoint(net.bind("rogue", {}).value()) {
+    endpoint->set_frame_handler([this](ConnId conn, wire::Frame frame) {
+      using proto::MessageType;
+      switch (static_cast<MessageType>(frame.type)) {
+        case MessageType::kCollectRequest: {
+          proto::StageMetrics report;
+          report.cycle_id =
+              proto::from_frame<proto::CollectRequest>(frame).value().cycle_id;
+          report.stage_id = StageId{0};
+          report.job_id = JobId{0};
+          report.data_iops = std::numeric_limits<double>::infinity();
+          report.meta_iops = 10;
+          (void)endpoint->send(conn, proto::to_frame(report));
+          break;
+        }
+        case MessageType::kEnforceBatch: {
+          const auto batch = proto::from_frame<proto::EnforceBatch>(frame);
+          for (const proto::Rule& rule : batch.value().rules) {
+            if (rule.stage_id != StageId{0}) continue;
+            data_limit.store(rule.data_iops_limit);
+            meta_limit.store(rule.meta_iops_limit);
+            rules.fetch_add(1);
+          }
+          proto::EnforceAck ack;
+          ack.cycle_id = batch.value().cycle_id;
+          ack.applied = static_cast<std::uint32_t>(batch.value().rules.size());
+          (void)endpoint->send(conn, proto::to_frame(ack));
+          break;
+        }
+        default:
+          break;
       }
-      case MessageType::kEnforceBatch: {
-        const auto batch = proto::from_frame<proto::EnforceBatch>(frame);
-        proto::EnforceAck ack;
-        ack.cycle_id = batch.value().cycle_id;
-        ack.applied = static_cast<std::uint32_t>(batch.value().rules.size());
-        (void)rogue->send(conn, proto::to_frame(ack));
-        break;
-      }
-      default:
-        break;
-    }
-  });
-  proto::RegisterRequest request;
-  request.info = {StageId{0}, NodeId{0}, JobId{0}, "rogue"};
-  ASSERT_TRUE(
-      rogue->send(rogue->connect("global").value(), proto::to_frame(request))
-          .is_ok());
+    });
+    proto::RegisterRequest request;
+    request.info = {StageId{0}, NodeId{0}, JobId{0}, "rogue"};
+    registered = endpoint
+                     ->send(endpoint->connect(controller).value(),
+                            proto::to_frame(request))
+                     .is_ok();
+  }
+  ~RogueStage() { endpoint->shutdown(); }
 
-  StageHost host(net, "host", {{"global"}});
-  ASSERT_TRUE(host.start().is_ok());
+  std::unique_ptr<transport::Endpoint> endpoint;
+  bool registered = false;
+  std::atomic<int> rules{0};
+  std::atomic<double> data_limit{-1};
+  std::atomic<double> meta_limit{-1};
+};
+
+/// Stages 1-3 (job i / 2) at 1,000 data and 100 metadata ops/s each.
+void add_honest_stages(StageHost& host) {
   for (std::uint32_t i = 1; i < 4; ++i) {
     ASSERT_TRUE(host.add_stage({StageId{i}, NodeId{i}, JobId{i / 2}, "n"},
                                workload::constant(1000),
@@ -267,6 +280,34 @@ TEST(ControllerNodeTest, NonFiniteReportCountsStaleAndLeavesTheBudgetWhole) {
                     .is_ok());
   }
   ASSERT_TRUE(host.register_all().is_ok());
+}
+
+/// Stages 1-3's enforced data limits are finite and share at most the
+/// 1,000 data ops/s budget.
+void expect_finite_within_budget(const StageHost& host, std::uint64_t cycle) {
+  double data_sum = 0;
+  for (std::uint32_t i = 1; i < 4; ++i) {
+    const double limit =
+        host.stage_limit(StageId{i}, stage::Dimension::kData).value();
+    EXPECT_TRUE(std::isfinite(limit)) << "stage " << i << ": " << limit;
+    data_sum += limit;
+  }
+  EXPECT_LE(data_sum, 1000.0 * (1 + 1e-9)) << "cycle " << cycle;
+}
+
+TEST(ControllerNodeTest, NonFiniteReportCountsStaleAndLeavesTheBudgetWhole) {
+  // Four stages in two jobs under a 1,000 data ops/s budget; stage 0 is
+  // the rogue.
+  transport::InProcNetwork net;
+  ControllerNodeOptions options;
+  options.core.budgets = {1000.0, 100.0};
+  ControllerNode root(net, "global", options);
+  ASSERT_TRUE(root.start().is_ok());
+  RogueStage rogue(net, "global");
+  ASSERT_TRUE(rogue.registered);
+  StageHost host(net, "host", {{"global"}});
+  ASSERT_TRUE(host.start().is_ok());
+  add_honest_stages(host);
   ASSERT_TRUE(eventually([&] { return root.registered_stages() == 4; }));
 
   for (std::uint64_t cycle = 1; cycle <= 3; ++cycle) {
@@ -274,18 +315,126 @@ TEST(ControllerNodeTest, NonFiniteReportCountsStaleAndLeavesTheBudgetWhole) {
     // The refused report counts stale, so every cycle reads degraded.
     EXPECT_EQ(root.stats().degraded_cycles(), cycle);
     EXPECT_EQ(root.stats().stale_stages(), cycle);
-    double data_sum = 0;
-    for (std::uint32_t i = 1; i < 4; ++i) {
-      const double limit =
-          host.stage_limit(StageId{i}, stage::Dimension::kData).value();
-      EXPECT_TRUE(std::isfinite(limit)) << "stage " << i << ": " << limit;
-      data_sum += limit;
-    }
-    EXPECT_LE(data_sum, 1000.0 * (1 + 1e-9)) << "cycle " << cycle;
+    expect_finite_within_budget(host, cycle);
   }
   host.shutdown();
-  rogue->shutdown();
   root.shutdown();
+}
+
+TEST(ControllerNodeTest, RefusedReportBelowTheRootKeepsTheLastAcceptedOne) {
+  // The same four stages one level down: root -> agg0 -> rogue and host.
+  // The aggregator refuses every one of the rogue's reports, so its store
+  // keeps the rogue's last accepted report (zeros, as none was), and the
+  // rogue's rule follows from that report every cycle.
+  transport::InProcNetwork net;
+  ControllerNodeOptions root_options;
+  root_options.core.budgets = {1000.0, 100.0};
+  ControllerNode root(net, "global", root_options);
+  ASSERT_TRUE(root.start().is_ok());
+  ControllerNodeOptions agg_options;
+  agg_options.id = ControllerId{0};
+  agg_options.upstream_address = "global";
+  ControllerNode agg(net, "agg0", agg_options);
+  ASSERT_TRUE(agg.start().is_ok());
+  RogueStage rogue(net, "agg0");
+  ASSERT_TRUE(rogue.registered);
+  StageHostOptions host_options;
+  host_options.controller_addresses = {"agg0"};
+  host_options.auto_failover = false;
+  StageHost host(net, "host", host_options);
+  ASSERT_TRUE(host.start().is_ok());
+  add_honest_stages(host);
+  ASSERT_TRUE(eventually([&] { return root.registered_stages() == 4; }));
+
+  for (std::uint64_t cycle = 1; cycle <= 3; ++cycle) {
+    ASSERT_TRUE(root.run_cycle().is_ok());
+    // The ack chain orders the rogue's batch before run_cycle returns.
+    EXPECT_EQ(rogue.rules.load(), static_cast<int>(cycle));
+    // Zero demand next to stage 1's 1,000 takes none of job 0's share.
+    EXPECT_EQ(rogue.data_limit.load(), 0.0) << "cycle " << cycle;
+    EXPECT_EQ(rogue.meta_limit.load(), 0.0) << "cycle " << cycle;
+    expect_finite_within_budget(host, cycle);
+  }
+  host.shutdown();
+  agg.shutdown();
+  root.shutdown();
+}
+
+TEST(ControllerNodeTest, RootThatLosesItsControllerChildComputesAsIfFlat) {
+  // Roots A and B each have four direct stages in two jobs, uncontended,
+  // so every stage reports its demand whatever limits it had. A gains a
+  // controller child with no stages of its own, the demand halves while
+  // the child is attached, and the child leaves; B never has a child.
+  // A's store fed aggregate_from_store while the child was attached, so
+  // compute_from_store must rebuild from every slot when it takes the
+  // store back, and A's next cycle must enforce B's limits exactly. The
+  // rates have no exact float form, so the limits A enforced from its
+  // summary's float digests differ from B's in their last bits.
+  std::atomic<double> scale{1.0};
+  const auto demand = [&scale](double rate) -> stage::DemandFn {
+    return [&scale, rate](Nanos) { return rate * scale.load(); };
+  };
+  ControllerNodeOptions options;
+  options.core.budgets = {1e6, 1e5};
+  transport::InProcNetwork net_a;
+  transport::InProcNetwork net_b;
+  ControllerNode root_a(net_a, "global", options);
+  ControllerNode root_b(net_b, "global", options);
+  StageHost host_a(net_a, "host", {{"global"}});
+  StageHost host_b(net_b, "host", {{"global"}});
+  for (auto [root, host] :
+       {std::pair(&root_a, &host_a), std::pair(&root_b, &host_b)}) {
+    ASSERT_TRUE(root->start().is_ok());
+    ASSERT_TRUE(host->start().is_ok());
+    for (std::uint32_t i = 0; i < 4; ++i) {
+      ASSERT_TRUE(host->add_stage({StageId{i}, NodeId{i}, JobId{i / 2}, "n"},
+                                  demand((1000.0 + 250.0 * i) / 3),
+                                  demand((100.0 + 25.0 * i) / 3))
+                      .is_ok());
+    }
+    ASSERT_TRUE(host->register_all().is_ok());
+    ASSERT_TRUE(eventually([root] { return root->registered_stages() == 4; }));
+  }
+  const auto cycle_both = [&] {
+    ASSERT_TRUE(root_a.run_cycle().is_ok());
+    ASSERT_TRUE(root_b.run_cycle().is_ok());
+  };
+  const auto limits = [](const StageHost& host) {
+    std::vector<double> out;
+    for (std::uint32_t i = 0; i < 4; ++i) {
+      for (const auto dim :
+           {stage::Dimension::kData, stage::Dimension::kMeta}) {
+        out.push_back(host.stage_limit(StageId{i}, dim).value());
+      }
+    }
+    return out;
+  };
+
+  cycle_both();
+  cycle_both();
+  const std::vector<double> before = limits(host_b);
+  ControllerNodeOptions child_options;
+  child_options.id = ControllerId{0};
+  child_options.upstream_address = "global";
+  ControllerNode child(net_a, "child", child_options);
+  ASSERT_TRUE(child.start().is_ok());
+  ASSERT_TRUE(eventually([&] { return root_a.known_aggregators() == 1; }));
+  cycle_both();
+  scale.store(0.5);
+  cycle_both();
+  cycle_both();
+  child.shutdown();
+  ASSERT_TRUE(eventually([&] { return root_a.known_aggregators() == 0; }));
+  cycle_both();
+
+  const std::vector<double> flat = limits(host_b);
+  ASSERT_NE(flat, before) << "the demand change must move the limits";
+  const std::vector<double> flipped = limits(host_a);
+  for (std::size_t i = 0; i < flat.size(); ++i) {
+    EXPECT_EQ(flipped[i], flat[i]) << "limit " << i;
+  }
+  host_a.shutdown();
+  host_b.shutdown();
 }
 
 }  // namespace

@@ -1,17 +1,25 @@
 // End-to-end integration for the delta collect path: stage hosts answer
-// collects with StageMetricsDelta frames, the flat global controller
-// folds them through its columnar MetricsStore, and decisions stay
-// bit-identical to the full-frame pipeline.
+// collects with StageMetricsDelta frames, the controller node each stage
+// reports to (the flat global controller, or an aggregator of a 2- or
+// 3-level tree) folds them through its columnar MetricsStore, and
+// decisions stay bit-identical to the full-frame pipeline.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <vector>
 
 #include "runtime/deployment.h"
+#include "three_level_tree.h"
 #include "workload/generators.h"
 
 namespace sds::runtime {
 namespace {
+
+/// Deterministic but varied per stage so deltas carry real changes.
+stage::DemandFn varied_demand(StageId stage, stage::Dimension dim) {
+  const double rate = 500.0 + 100.0 * static_cast<double>(stage.value());
+  return workload::constant(dim == stage::Dimension::kData ? rate : rate / 10);
+}
 
 DeploymentOptions contended_options() {
   DeploymentOptions options;
@@ -19,26 +27,41 @@ DeploymentOptions contended_options() {
   options.stages_per_host = 4;
   options.stages_per_job = 4;
   options.budgets = {8000.0, 800.0};  // contended: 16 × 1000 demand
-  options.demand_factory = [](StageId stage, stage::Dimension dim) {
-    // Deterministic but varied per stage so deltas carry real changes.
-    const double rate = 500.0 + 100.0 * static_cast<double>(stage.value());
-    return workload::constant(dim == stage::Dimension::kData ? rate
-                                                             : rate / 10);
-  };
+  options.demand_factory = varied_demand;
   return options;
 }
 
-std::vector<double> collect_limits(Deployment& deployment,
-                                   std::size_t num_stages) {
+/// Every stage's enforced data and metadata limits; `tree` is a
+/// Deployment or a ThreeLevelTree.
+template <typename Tree>
+std::vector<double> collect_limits(const Tree& tree, std::size_t num_stages) {
   std::vector<double> limits;
   for (std::uint32_t i = 0; i < num_stages; ++i) {
     for (const auto dim : {stage::Dimension::kData, stage::Dimension::kMeta}) {
-      auto limit = deployment.stage_limit(StageId{i}, dim);
+      auto limit = tree.stage_limit(StageId{i}, dim);
       EXPECT_TRUE(limit.is_ok()) << limit.status();
       limits.push_back(limit.is_ok() ? *limit : -1.0);
     }
   }
   return limits;
+}
+
+void expect_same_limits(const std::vector<double>& full,
+                        const std::vector<double>& delta) {
+  ASSERT_EQ(full.size(), delta.size());
+  for (std::size_t i = 0; i < full.size(); ++i) {
+    EXPECT_EQ(full[i], delta[i]) << "limit " << i;
+  }
+}
+
+/// Bytes the given controller nodes have received so far.
+std::uint64_t bytes_received(
+    const std::vector<std::unique_ptr<ControllerNode>>& nodes) {
+  std::uint64_t bytes = 0;
+  for (const auto& node : nodes) {
+    bytes += node->endpoint()->counters().bytes_received;
+  }
+  return bytes;
 }
 
 TEST(DeltaRuntimeTest, DeltaCollectsMatchFullFramesBitForBit) {
@@ -54,12 +77,52 @@ TEST(DeltaRuntimeTest, DeltaCollectsMatchFullFramesBitForBit) {
   ASSERT_TRUE(full->global().run_cycles(12).is_ok());
   ASSERT_TRUE(delta->global().run_cycles(12).is_ok());
 
-  const auto limits_full = collect_limits(*full, 16);
-  const auto limits_delta = collect_limits(*delta, 16);
-  ASSERT_EQ(limits_full.size(), limits_delta.size());
-  for (std::size_t i = 0; i < limits_full.size(); ++i) {
-    EXPECT_EQ(limits_full[i], limits_delta[i]) << "limit " << i;
-  }
+  expect_same_limits(collect_limits(*full, 16), collect_limits(*delta, 16));
+}
+
+TEST(DeltaRuntimeTest, TwoLevelDeltaCollectsMatchFullFramesBitForBit) {
+  // Four hosts of four stages under two aggregators: each aggregator
+  // folds its stages' deltas into its store and summarizes from there.
+  auto options = contended_options();
+  options.num_aggregators = 2;
+  transport::InProcNetwork net_full;
+  auto full = Deployment::create(net_full, options).value();
+
+  options.delta_metrics = true;
+  options.delta_refresh = 4;  // several full refreshes inside the run
+  transport::InProcNetwork net_delta;
+  auto delta = Deployment::create(net_delta, options).value();
+
+  ASSERT_TRUE(full->global().run_cycles(12).is_ok());
+  ASSERT_TRUE(delta->global().run_cycles(12).is_ok());
+  EXPECT_EQ(full->global().stats().degraded_cycles(), 0u);
+  EXPECT_EQ(delta->global().stats().degraded_cycles(), 0u);
+  // The aggregators took deltas: fewer bytes in than full frames.
+  EXPECT_LT(bytes_received(delta->aggregators()),
+            bytes_received(full->aggregators()));
+  expect_same_limits(collect_limits(*full, 16), collect_limits(*delta, 16));
+}
+
+TEST(DeltaRuntimeTest, ThreeLevelDeltaCollectsMatchFullFramesBitForBit) {
+  // root -> super -> two aggregators, each over one host of eight stages.
+  const auto run = [](bool delta_metrics) {
+    ThreeLevelTreeOptions options;
+    options.stages = 16;
+    options.budgets = {8000.0, 800.0};
+    options.demand = varied_demand;
+    options.delta_metrics = delta_metrics;
+    transport::InProcNetwork net;
+    ThreeLevelTree tree(net, options);
+    EXPECT_TRUE(tree.start().is_ok());
+    EXPECT_TRUE(tree.root().run_cycles(12).is_ok());
+    EXPECT_EQ(tree.root().stats().degraded_cycles(), 0u);
+    return std::pair(collect_limits(tree, 16),
+                     bytes_received(tree.aggregators()));
+  };
+  const auto [limits_full, bytes_full] = run(false);
+  const auto [limits_delta, bytes_delta] = run(true);
+  EXPECT_LT(bytes_delta, bytes_full);
+  expect_same_limits(limits_full, limits_delta);
 }
 
 TEST(DeltaRuntimeTest, DeltaCollectsShrinkInboundWireBytes) {
@@ -142,17 +205,6 @@ TEST(DeltaRuntimeTest, DeltaChainSurvivesStageHostRestart) {
   }
   EXPECT_LE(data_sum, 8000.0 * 1.001);
   EXPECT_GE(data_sum, 8000.0 * 0.9);
-}
-
-TEST(DeltaRuntimeTest, DeltaMetricsRejectedWithAggregators) {
-  transport::InProcNetwork net;
-  DeploymentOptions options;
-  options.num_stages = 8;
-  options.num_aggregators = 2;
-  options.delta_metrics = true;
-  const auto deployment = Deployment::create(net, options);
-  ASSERT_FALSE(deployment.is_ok());
-  EXPECT_EQ(deployment.status().code(), StatusCode::kInvalidArgument);
 }
 
 TEST(DeltaRuntimeTest, DeltaMetricsRejectsZeroRefresh) {

@@ -28,6 +28,8 @@ struct ThreeLevelTreeOptions {
   core::Budgets budgets{4000.0, 400.0};
   /// Demand per stage and dimension; 1000 / 100 ops/s when empty.
   std::function<stage::DemandFn(StageId, stage::Dimension)> demand;
+  /// Stage hosts answer collects with StageMetricsDelta frames.
+  bool delta_metrics = false;
   /// When set, every component traces into it: the root on track 0, the
   /// super-aggregator on 1, aggregator a on 2 + a, and its host after.
   telemetry::SpanTracer* tracer = nullptr;
@@ -59,6 +61,7 @@ class ThreeLevelTree {
       StageHostOptions host;
       host.controller_addresses = {"agg" + std::to_string(a)};
       host.auto_failover = false;
+      host.delta_metrics = options_.delta_metrics;
       host.telemetry = telemetry(track++);
       hosts_.push_back(std::make_unique<StageHost>(
           net, "host" + std::to_string(a), host));
